@@ -52,7 +52,7 @@ type Snapshot struct {
 	Host  *HostStats `json:"host,omitempty"`
 	// Fig6bP64 repeats the host block when the invocation rendered
 	// exactly the 6b panel (bitonic, P=64) — the pinned throughput
-	// number BENCH_*.json tracks for single-run sharding speedups.
+	// number BENCH_*.json tracks for single-run speedups.
 	Fig6bP64 *HostStats       `json:"fig6b_p64,omitempty"`
 	Panels   []harness.Figure `json:"panels"`
 }
@@ -66,7 +66,6 @@ type Snapshot struct {
 type HostStats struct {
 	GoMaxProcs      int     `json:"gomaxprocs"`
 	Workers         int     `json:"workers"`
-	Shards          int     `json:"engine_shards,omitempty"`
 	WallSeconds     float64 `json:"wall_seconds"`
 	SimCycles       uint64  `json:"sim_cycles_total"`
 	SimEvents       uint64  `json:"sim_events_total"`
@@ -83,7 +82,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		scale     = fs.Int("scale", harness.DefaultScale, "divide the paper's problem sizes by this factor")
 		format    = fs.String("format", "table", "output: table, csv, chart, or json")
 		workers   = fs.Int("workers", 0, "parallel simulations (0 = GOMAXPROCS)")
-		shards    = fs.Int("shards", 0, "engine shards per simulation (0 = auto, 1 = single engine)")
 		seed      = fs.Int64("seed", 1, "input generator seed")
 		remote    = fs.String("remote", "", "comma-separated base URLs of running emxd nodes or an emxcluster gateway (empty: run in-process)")
 		cpuprof   = fs.String("cpuprofile", "", "write a CPU profile to this file")
@@ -112,18 +110,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if *workers < 0 {
 		fmt.Fprintf(stderr, "emxbench: -workers must be >= 0, got %d\n", *workers)
-		return 2
-	}
-	if *shards < 0 {
-		fmt.Fprintf(stderr, "emxbench: -shards must be >= 0, got %d\n", *shards)
-		return 2
-	}
-	if *shards > 1 && *shards&(*shards-1) != 0 {
-		fmt.Fprintf(stderr, "emxbench: -shards must be a power of two, got %d\n", *shards)
-		return 2
-	}
-	if *shards != 0 && *remote != "" {
-		fmt.Fprintln(stderr, "emxbench: -shards requires an in-process run (a remote daemon picks its own shard count)")
 		return 2
 	}
 	var render func(harness.Figure) string
@@ -187,7 +173,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *remote != "" {
 		panel = remotePanels(*remote, *scale, *seed)
 	} else {
-		sched, panel = localPanels(*scale, *seed, *workers, *shards, observe, stderr)
+		sched, panel = localPanels(*scale, *seed, *workers, observe, stderr)
 		defer sched.Close()
 	}
 
@@ -216,7 +202,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			Panels: collected,
 		}
 		if sched != nil {
-			snap.Host = hostStats(sched.Stats(), wall, *shards)
+			snap.Host = hostStats(sched.Stats(), wall)
 			if name == "6b" {
 				snap.Fig6bP64 = snap.Host
 			}
@@ -274,11 +260,10 @@ func writeTo(path string, emit func(io.Writer) error) error {
 
 // hostStats derives the snapshot's host block from the scheduler's
 // throughput counters and the measured wall time.
-func hostStats(st labd.Stats, wall float64, shards int) *HostStats {
+func hostStats(st labd.Stats, wall float64) *HostStats {
 	h := &HostStats{
 		GoMaxProcs:     runtime.GOMAXPROCS(0),
 		Workers:        st.Workers,
-		Shards:         shards,
 		WallSeconds:    wall,
 		SimCycles:      st.SimCycles,
 		SimEvents:      st.SimEvents,
@@ -312,7 +297,7 @@ func writeMemProfile(path string, stderr io.Writer) {
 // localPanels builds panels in-process through a transient labd
 // scheduler, exactly the execution path emxd serves. The caller owns
 // the scheduler and must Close it.
-func localPanels(scale int, seed int64, workers, shards int, observe *harness.ProfileCollector, stderr io.Writer) (*labd.Scheduler, func(string) ([]harness.Figure, error)) {
+func localPanels(scale int, seed int64, workers int, observe *harness.ProfileCollector, stderr io.Writer) (*labd.Scheduler, func(string) ([]harness.Figure, error)) {
 	// A cache hit skips point execution, and a skipped point yields no
 	// profile — so observed runs disable the cache (coalescing still
 	// dedupes concurrent duplicates, which do share one observation).
@@ -320,7 +305,6 @@ func localPanels(scale int, seed int64, workers, shards int, observe *harness.Pr
 	pr := harness.NewPanelRunner(harness.PanelOptions{
 		Scale:   scale,
 		Seed:    seed,
-		Shards:  shards,
 		Observe: observe,
 		Logf: func(format string, args ...any) {
 			fmt.Fprintf(stderr, "emxbench: "+format+"\n", args...)

@@ -47,7 +47,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fig      = fs.String("fig", "", "profile a whole figure panel instead of one point (see emxbench)")
 		scale    = fs.Int("scale", harness.DefaultScale, "panel mode: divide the paper's problem sizes by this factor")
 		workers  = fs.Int("workers", 0, "panel mode: parallel simulations (0 = GOMAXPROCS)")
-		shards   = fs.Int("shards", 0, "engine shards per simulation (0 = auto, 1 = single engine)")
 		format   = fs.String("format", "report", "output: report, json, or perfetto")
 		out      = fs.String("o", "", "write output to this file (default stdout)")
 		slice    = fs.Int64("slice", 0, "add whole-machine time slices of this many cycles to the profile")
@@ -92,24 +91,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "emxprof: -slice must be >= 0, got %d\n", *slice)
 		return 2
 	}
-	if *shards < 0 {
-		fmt.Fprintf(stderr, "emxprof: -shards must be >= 0, got %d\n", *shards)
-		return 2
-	}
-	if *shards > 1 && *shards&(*shards-1) != 0 {
-		fmt.Fprintf(stderr, "emxprof: -shards must be a power of two, got %d\n", *shards)
-		return 2
-	}
 	opts := harness.ObsOptions{Capacity: *capacity, SliceCycles: *slice}
 
 	if *fig != "" {
-		return runPanel(*fig, *scale, *seed, *workers, *shards, opts, *format, dst, stderr)
+		return runPanel(*fig, *scale, *seed, *workers, opts, *format, dst, stderr)
 	}
-	return runPoint(*workload, *p, *n, *h, *seed, *mode, *shards, opts, *format, dst, stderr)
+	return runPoint(*workload, *p, *n, *h, *seed, *mode, opts, *format, dst, stderr)
 }
 
 // runPoint profiles one directly-specified simulation point.
-func runPoint(workload string, p, n, h int, seed int64, mode string, shards int, opts harness.ObsOptions, format string, dst io.Writer, stderr io.Writer) int {
+func runPoint(workload string, p, n, h int, seed int64, mode string, opts harness.ObsOptions, format string, dst io.Writer, stderr io.Writer) int {
 	w, err := harness.ParseWorkload(strings.ToLower(workload))
 	if err != nil {
 		fmt.Fprintln(stderr, "emxprof:", err)
@@ -130,7 +121,7 @@ func runPoint(workload string, p, n, h int, seed int64, mode string, shards int,
 		return 2
 	}
 	pc := harness.NewProfileCollector(opts)
-	ps := harness.PointSpec{Workload: w, P: p, SimN: n, H: h, Mode: svc, Seed: seed, Shards: shards}
+	ps := harness.PointSpec{Workload: w, P: p, SimN: n, H: h, Mode: svc, Seed: seed}
 	if _, err := pc.RunPointObserved(ps, 0); err != nil {
 		fmt.Fprintln(stderr, "emxprof:", err)
 		return 1
@@ -140,7 +131,7 @@ func runPoint(workload string, p, n, h int, seed int64, mode string, shards int,
 
 // runPanel profiles every point of one emxbench figure panel and merges
 // the result into a whole-panel profile.
-func runPanel(fig string, scale int, seed int64, workers, shards int, opts harness.ObsOptions, format string, dst io.Writer, stderr io.Writer) int {
+func runPanel(fig string, scale int, seed int64, workers int, opts harness.ObsOptions, format string, dst io.Writer, stderr io.Writer) int {
 	name := strings.ToLower(fig)
 	if !harness.ValidPanel(name) {
 		fmt.Fprintf(stderr, "emxprof: unknown figure %q\nvalid panels: %s\n",
@@ -163,7 +154,6 @@ func runPanel(fig string, scale int, seed int64, workers, shards int, opts harne
 	pr := harness.NewPanelRunner(harness.PanelOptions{
 		Scale:   scale,
 		Seed:    seed,
-		Shards:  shards,
 		Observe: pc,
 		Logf: func(format string, args ...any) {
 			fmt.Fprintf(stderr, "emxprof: "+format+"\n", args...)

@@ -98,8 +98,6 @@ func TestFlagValidation(t *testing.T) {
 		{"bad p", []string{"-p", "0"}},
 		{"negative slice", []string{"-slice", "-5"}},
 		{"negative workers", []string{"-fig", "6a", "-workers", "-1"}},
-		{"negative shards", []string{"-shards", "-1"}},
-		{"non-power-of-two shards", []string{"-shards", "3"}},
 		{"bad scale", []string{"-fig", "6a", "-scale", "0"}},
 		{"diff arity", []string{"-diff", "only-one.prof"}},
 		{"stray args", []string{"a.prof", "b.prof"}},
@@ -114,50 +112,6 @@ func TestFlagValidation(t *testing.T) {
 				t.Fatal("no diagnostic on stderr")
 			}
 		})
-	}
-}
-
-// TestShardedProfileMatchesSingleEngine: the merged profile of a sharded
-// run is identical to the single-engine profile — per-shard tracers are
-// absorbed commutatively (counters summed, rings merged in event-time
-// order), so the JSON profile must match byte-for-byte at every shard
-// count. The point is large enough (P=8, n=2048, h=4) that every shard
-// carries real cross-shard traffic.
-func TestShardedProfileMatchesSingleEngine(t *testing.T) {
-	point := []string{"-workload", "bitonic", "-p", "8", "-n", "2048", "-h", "4", "-seed", "3", "-format", "json"}
-	run := func(shards string) string {
-		t.Helper()
-		code, out, errOut := runCLI(t, append(point, "-shards", shards)...)
-		if code != 0 {
-			t.Fatalf("shards=%s: exit %d: %s", shards, code, errOut)
-		}
-		return out
-	}
-	want := run("1")
-	for _, shards := range []string{"2", "4", "8"} {
-		if got := run(shards); got != want {
-			t.Errorf("-shards %s profile differs from single engine:\n--- got ---\n%s--- want ---\n%s", shards, got, want)
-		}
-	}
-}
-
-// TestShardedPanelProfileMatchesSingleEngine: the same invariant end to
-// end through a whole panel — every point of fig 6a profiled at -shards 4
-// merges to the identical report the single-engine panel produces.
-func TestShardedPanelProfileMatchesSingleEngine(t *testing.T) {
-	args := func(shards string) []string {
-		return []string{"-fig", "6a", "-scale", "1048576", "-shards", shards}
-	}
-	code, one, errOut := runCLI(t, args("1")...)
-	if code != 0 {
-		t.Fatalf("exit %d: %s", code, errOut)
-	}
-	code, four, errOut := runCLI(t, args("4")...)
-	if code != 0 {
-		t.Fatalf("exit %d: %s", code, errOut)
-	}
-	if one != four {
-		t.Error("panel report differs between -shards 1 and -shards 4")
 	}
 }
 

@@ -1,6 +1,6 @@
 // Command emxvet runs the repository's determinism, hot-path, and
-// shard-safety analyzers (internal/lint) over Go packages, go-vet
-// style.
+// observability-purity analyzers (internal/lint) over Go packages,
+// go-vet style.
 //
 // Usage:
 //
@@ -14,7 +14,7 @@
 // -graph dumps the interprocedural call graph the v2 analyzers reason
 // over, one "caller -> callee [kind] @ pos" line per edge, and exits.
 // -explain attaches each finding's related positions (propagation
-// chains, first conflicting access) to the text output; JSON output
+// chains, result-affecting read sites) to the text output; JSON output
 // always carries them. -baseline loads a saved `emxvet -json` run and
 // suppresses the findings recorded in it, failing only on new ones.
 package main

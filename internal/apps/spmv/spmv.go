@@ -142,11 +142,6 @@ func Run(cfg core.Config, p Params) (*metrics.Run, error) {
 	if need := 2*bl + 64; cfg.MemWords < need {
 		cfg.MemWords = need
 	}
-	if p.Tracer != nil {
-		// Trace capture needs the single-engine event order (the callback
-		// is not safe for concurrent shard workers).
-		cfg.Shards = 1
-	}
 	mach, err := core.NewMachine(cfg)
 	if err != nil {
 		return nil, err

@@ -51,17 +51,6 @@ type Config struct {
 	// threads make true deadlocks manifest as livelocks). 0 means no limit.
 	MaxCycles sim.Time
 
-	// Shards is the host-side parallelism knob: the machine's PEs are
-	// partitioned into this many contiguous blocks, each advanced by its
-	// own engine in the lockstep rounds of a sim.Group. 0 and 1 both mean
-	// a single engine. Sharding is a pure host optimization — results are
-	// byte-identical for every shard count (asserted machine-level by
-	// TestShardedRunMatchesSingleEngine) — so it is excluded from
-	// Fingerprint and from run identities.
-	//
-	//emx:nofingerprint shard count never changes simulated results
-	Shards int
-
 	// Proc configures the packet units (IBU/OBU/DMA, service mode).
 	Proc proc.Config
 }
@@ -98,17 +87,6 @@ func (c Config) Validate() error {
 	} {
 		if v < 0 {
 			return fmt.Errorf("core: negative timing parameter in %+v", c)
-		}
-	}
-	if c.Shards > 1 {
-		if c.Shards&(c.Shards-1) != 0 {
-			return fmt.Errorf("core: Shards must be a power of two, got %d", c.Shards)
-		}
-		if c.P&(c.P-1) != 0 {
-			return fmt.Errorf("core: sharding requires a power-of-two P, got P=%d", c.P)
-		}
-		if c.Shards > c.P {
-			return fmt.Errorf("core: Shards (%d) exceeds P (%d)", c.Shards, c.P)
 		}
 	}
 	return nil

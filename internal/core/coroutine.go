@@ -127,13 +127,9 @@ type readWait struct {
 	remaining int
 }
 
-// thr is the engine-side handle of one simulated thread. sh and eng are
-// the owning PE's shard and engine: every handoff and clock read goes
-// through them, so a thread never touches another shard's state.
+// thr is the engine-side handle of one simulated thread.
 type thr struct {
 	m      *Machine
-	sh     *shardState
-	eng    *sim.Engine
 	pe     packet.PE
 	frame  uint32
 	name   string
@@ -176,18 +172,18 @@ func (t *thr) main() {
 			}
 			// Forward workload panics to the machine, which is blocked in
 			// step() waiting for this thread's yield.
-			t.sh.yieldCh <- yieldMsg{t: t, op: opPanic{reason: r}}
+			t.m.yieldCh <- yieldMsg{t: t, op: opPanic{reason: r}}
 		}
 	}()
 	tc := &TC{t: t, arg: first.val}
 	t.fn(tc)
-	t.sh.yieldCh <- yieldMsg{t: t, op: opDone{}}
+	t.m.yieldCh <- yieldMsg{t: t, op: opDone{}}
 }
 
 // yieldOp hands an operation to the engine and blocks until resumed.
 // Called only from the coroutine goroutine.
 func (t *thr) yieldOp(op any) resumeMsg {
-	t.sh.yieldCh <- yieldMsg{t: t, op: op}
+	t.m.yieldCh <- yieldMsg{t: t, op: op}
 	msg := <-t.resume
 	if msg.killed {
 		panic(killSentinel{})
@@ -196,22 +192,19 @@ func (t *thr) yieldOp(op any) resumeMsg {
 }
 
 // step resumes thread t with msg and waits for its next operation.
-// Called only from the engine side; exactly one coroutine runs at a time
-// per shard, and a coroutine touches only its own shard's state, so
-// workload code never races with the simulator.
+// Called only from the engine side; exactly one coroutine runs at a time,
+// so workload code never races with the simulator.
 //
-// The shard's cur marks the running coroutine for the duration of the
-// step: it is non-nil exactly while workload code executes (the channel
-// handoffs order the writes), letting runtime primitives called from
-// workload code (WaitSet.Notify) flush the thread's operation buffer
-// first.
+// m.cur marks the running coroutine for the duration of the step: it is
+// non-nil exactly while workload code executes (the channel handoffs
+// order the writes), letting runtime primitives called from workload
+// code (WaitSet.Notify) flush the thread's operation buffer first.
 func (m *Machine) step(t *thr, msg resumeMsg) any {
-	sh := t.sh
-	sh.cur = t
+	m.cur = t
 	t.state = stRunning
 	t.resume <- msg
-	y := <-sh.yieldCh
-	sh.cur = nil
+	y := <-m.yieldCh
+	m.cur = nil
 	if y.t != t {
 		panic(fmt.Sprintf("core: yield from %v while stepping %v", y.t, t)) //emx:coldpath
 	}

@@ -62,12 +62,8 @@ func (id RunIdentity) Hash() string {
 
 // Fingerprint digests every field of the Config, so a run identity
 // silently changes whenever the timing calibration does — recalibrating
-// the machine can never serve stale cached results. Shards is zeroed
-// first: it is host-side parallelism with byte-identical results, so
-// sharded and single-engine runs of the same point share one identity
-// (and one cache entry).
+// the machine can never serve stale cached results.
 func (c Config) Fingerprint() string {
-	c.Shards = 0
 	sum := sha256.Sum256([]byte(fmt.Sprintf("%+v", c)))
 	return hex.EncodeToString(sum[:8])
 }

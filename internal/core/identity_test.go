@@ -74,3 +74,16 @@ func TestConfigFingerprintTracksCalibration(t *testing.T) {
 		t.Fatal("recalibrated config keeps the old fingerprint")
 	}
 }
+
+// TestIdentityGolden pins the cache identity. Every run key and cluster
+// route derives from these hashes, so a change here invalidates every
+// cached result and reroutes every request: it must be a deliberate,
+// reviewed edit, never a side effect of reshaping Config.
+func TestIdentityGolden(t *testing.T) {
+	if got, want := DefaultConfig(64).Fingerprint(), "a6bdacdde44788ed"; got != want {
+		t.Errorf("DefaultConfig(64).Fingerprint() = %s, want %s", got, want)
+	}
+	if got, want := baseIdentity().Hash(), "113e2c4a28f9c1e5df75e18ecb16382b5bc57e41e7e2aea76431acf8ed996be9"; got != want {
+		t.Errorf("baseIdentity().Hash() = %s, want %s", got, want)
+	}
+}

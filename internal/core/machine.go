@@ -18,63 +18,35 @@ import (
 // network, plus the multithreading runtime. Build one with NewMachine,
 // seed initial threads with SpawnAt, then call Run.
 //
-// With Config.Shards > 1 the PEs are partitioned into contiguous blocks,
-// each advanced by its own member engine of a sim.Group: every PE's
-// processor, EXU, memory, frames, and queue — and every switch node of
-// the network — is owned by exactly one shard, and cross-shard packets
-// travel through the group's deterministic exchange. Results are
-// byte-identical to the single-engine run for every shard count.
-//
 // A Machine is single-use: after Run returns it holds the final state for
 // inspection but cannot be run again.
 type Machine struct {
-	Eng   *sim.Engine // member engine 0 (the machine clock)
+	Eng   *sim.Engine
 	Cfg   Config
 	Net   *network.Network // nil when P == 1
 	Procs []*proc.Proc
 
-	engines []*sim.Engine // one per shard; len 1 unsharded
-	grp     *sim.Group    // nil when the machine runs on a single engine
-	peShard []int         // owning shard of each PE
-	shards  []*shardState // per-shard runtime state
+	exus    []*exu
+	stats   []metrics.PE
+	yieldCh chan yieldMsg
+	wg      sync.WaitGroup
 
-	exus  []*exu
-	stats []metrics.PE
-	wg    sync.WaitGroup
-
-	// Spawn tokens are per-PE counters tagged with the issuing PE, so
-	// concurrent shards never contend for an ordered counter and the
-	// token values are identical for every shard count. The registry map
-	// itself is shared (a token registers on the parent's shard and is
-	// taken on the child's), hence the mutex.
-	spawnMu  sync.Mutex
-	spawnCtr []uint64
+	spawnSeq uint64
 	spawns   map[uint64]spawnInfo
 
 	barriers []*Barrier
 	tracer   func(TraceEvent)
-	obs      *obs.Tracer   // parent tracer (the one handed to SetObs)
-	obsSh    []*obs.Tracer // per-shard tracers; obsSh[0] == obs unsharded
-	failMu   sync.Mutex
+	obs      *obs.Tracer
+	live     int // threads created and not yet finished
+	threads  []*thr
 	failure  error
 	ran      bool
 
-	hDeliverLocal sim.Handler
-}
-
-// shardState is the runtime state one shard's worker goroutine mutates:
-// its coroutine handoff channel, the thread currently executing workload
-// code, and the shard's thread registry and live count.
-type shardState struct {
-	eng     *sim.Engine
-	obs     *obs.Tracer
-	yieldCh chan yieldMsg
-	live    int // threads created and not yet finished on this shard
-	threads []*thr
-
-	// cur is the coroutine currently executing workload code on this
-	// shard (non-nil only while the shard's engine is blocked in step).
+	// cur is the coroutine currently executing workload code (non-nil
+	// only while the engine is blocked in step).
 	cur *thr
+
+	hDeliverLocal sim.Handler
 }
 
 type spawnInfo struct {
@@ -87,37 +59,15 @@ func NewMachine(cfg Config) (*Machine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	s := cfg.Shards
-	if s < 1 {
-		s = 1
-	}
 	m := &Machine{
-		Cfg:      cfg,
-		peShard:  make([]int, cfg.P),
-		spawnCtr: make([]uint64, cfg.P),
-		spawns:   make(map[uint64]spawnInfo),
-	}
-	if s > 1 {
-		m.grp = sim.NewGroup(s)
-		m.engines = make([]*sim.Engine, s)
-		for i := range m.engines {
-			m.engines[i] = m.grp.Engine(i)
-		}
-	} else {
-		m.engines = []*sim.Engine{sim.NewEngine()}
-	}
-	m.Eng = m.engines[0]
-	m.obsSh = make([]*obs.Tracer, s)
-	m.shards = make([]*shardState, s)
-	for i := range m.shards {
-		m.shards[i] = &shardState{eng: m.engines[i], yieldCh: make(chan yieldMsg)}
-	}
-	for pe := range m.peShard {
-		m.peShard[pe] = pe * s / cfg.P
+		Eng:     sim.NewEngine(),
+		Cfg:     cfg,
+		yieldCh: make(chan yieldMsg),
+		spawns:  make(map[uint64]spawnInfo),
 	}
 	m.hDeliverLocal = deliverLocalH{m}
 	if cfg.P > 1 {
-		net, err := network.NewSharded(m.engines, cfg.P)
+		net, err := network.New(m.Eng, cfg.P)
 		if err != nil {
 			return nil, err
 		}
@@ -129,7 +79,7 @@ func NewMachine(cfg Config) (*Machine, error) {
 	for pe := 0; pe < cfg.P; pe++ {
 		pe := packet.PE(pe)
 		send := func(pkt *packet.Packet) { m.route(pkt) }
-		m.Procs[pe] = proc.New(m.engines[m.peShard[pe]], pe, cfg.MemWords, cfg.Proc, &m.stats[pe], send)
+		m.Procs[pe] = proc.New(m.Eng, pe, cfg.MemWords, cfg.Proc, &m.stats[pe], send)
 		m.exus[pe] = newEXU(m, pe)
 		m.Procs[pe].SetWake(m.exus[pe].wake)
 		if m.Net != nil {
@@ -139,20 +89,11 @@ func NewMachine(cfg Config) (*Machine, error) {
 	return m, nil
 }
 
-// Shards returns the number of engine shards the machine runs on (1 when
-// unsharded).
-func (m *Machine) Shards() int { return len(m.engines) }
-
 // SetObs installs the cycle-accounting tracer across every component of
 // the machine: engine dispatch, EXU charge sites, packet units, and the
 // network. Must be called before Run. The tracer observes only — it
 // never charges cycles — so an observed run is cycle-identical to an
 // unobserved one. A nil tracer (the default) disables observation.
-//
-// On a sharded machine each shard records into its own child tracer
-// (obs.Tracer is not safe for concurrent use); the children are folded
-// back into t at collection, so Profile totals match the single-engine
-// run exactly.
 func (m *Machine) SetObs(t *obs.Tracer) {
 	if m.ran {
 		panic("core: SetObs after Run")
@@ -161,23 +102,12 @@ func (m *Machine) SetObs(t *obs.Tracer) {
 		panic(fmt.Sprintf("core: tracer sized for P=%d on a P=%d machine", t.P(), m.Cfg.P))
 	}
 	m.obs = t
-	if len(m.engines) == 1 {
-		m.obsSh[0] = t
-	} else {
-		for i := range m.obsSh {
-			m.obsSh[i] = t.Child()
-		}
+	m.Eng.SetObs(t)
+	for _, p := range m.Procs {
+		p.SetObs(t)
 	}
 	if m.Net != nil {
-		m.Net.SetObsShards(m.obsSh)
-	}
-	for i, sh := range m.shards {
-		sh.obs = m.obsSh[i]
-		m.engines[i].SetObs(m.obsSh[i])
-	}
-	for pe, p := range m.Procs {
-		p.SetObs(m.obsSh[m.peShard[pe]])
-		m.exus[pe].obs = m.obsSh[m.peShard[pe]]
+		m.Net.SetObs(t)
 	}
 }
 
@@ -211,7 +141,7 @@ func (m *Machine) SpawnAt(pe packet.PE, name string, arg packet.Word, fn ThreadF
 	if m.ran {
 		panic("core: SpawnAt after Run")
 	}
-	seq := m.registerSpawn(pe, name, fn)
+	seq := m.registerSpawn(name, fn)
 	m.Procs[pe].PushLocal(thread.Low, &packet.Packet{
 		Kind: packet.KindInvoke,
 		Src:  pe,
@@ -221,26 +151,17 @@ func (m *Machine) SpawnAt(pe packet.PE, name string, arg packet.Word, fn ThreadF
 	})
 }
 
-// registerSpawn allocates a spawn token on the issuing PE. The token is
-// the PE tag plus that PE's private counter, so its value depends only
-// on the PE's own spawn order — not on any global interleaving — and is
-// identical for every shard count.
-func (m *Machine) registerSpawn(pe packet.PE, name string, fn ThreadFn) uint64 {
-	m.spawnMu.Lock()
-	m.spawnCtr[pe]++
-	seq := uint64(pe+1)<<40 | m.spawnCtr[pe]
-	m.spawns[seq] = spawnInfo{name: name, fn: fn}
-	m.spawnMu.Unlock()
-	return seq
+// registerSpawn allocates the spawn token an invoke packet carries to
+// the EXU that starts the thread.
+func (m *Machine) registerSpawn(name string, fn ThreadFn) uint64 {
+	m.spawnSeq++
+	m.spawns[m.spawnSeq] = spawnInfo{name: name, fn: fn}
+	return m.spawnSeq
 }
 
 func (m *Machine) takeSpawn(seq uint64) spawnInfo {
-	m.spawnMu.Lock()
 	info, ok := m.spawns[seq]
-	if ok {
-		delete(m.spawns, seq)
-	}
-	m.spawnMu.Unlock()
+	delete(m.spawns, seq)
 	if !ok {
 		panic(fmt.Sprintf("core: invoke packet with unknown spawn token %d", seq))
 	}
@@ -257,50 +178,29 @@ func (m *Machine) Run() (*metrics.Run, error) {
 	m.ran = true
 	var end sim.Time
 	if m.Cfg.MaxCycles > 0 {
-		var more bool
-		if m.grp != nil {
-			more = m.grp.RunUntil(m.Cfg.MaxCycles)
-		} else {
-			more = m.Eng.RunUntil(m.Cfg.MaxCycles)
-		}
-		if more && m.failure == nil {
+		if more := m.Eng.RunUntil(m.Cfg.MaxCycles); more && m.failure == nil {
 			m.failure = fmt.Errorf("core: simulation exceeded %d cycles (livelock or undersized budget)", m.Cfg.MaxCycles)
 		}
 		end = m.Eng.Now()
 	} else {
-		if m.grp != nil {
-			end = m.grp.Run()
-		} else {
-			end = m.Eng.Run()
-		}
+		end = m.Eng.Run()
 	}
 	m.teardown()
 	if m.failure != nil {
 		return nil, m.failure
 	}
-	if live := m.liveThreads(); live != 0 {
+	if m.live != 0 {
 		return nil, fmt.Errorf("core: deadlock — %d thread(s) never finished: %v",
-			live, m.stuckThreads())
+			m.live, m.stuckThreads())
 	}
 	return m.collect(end), nil
 }
 
-// liveThreads sums the shards' live counts (valid between runs).
-func (m *Machine) liveThreads() int {
-	n := 0
-	for _, sh := range m.shards {
-		n += sh.live
-	}
-	return n
-}
-
 func (m *Machine) stuckThreads() []string {
 	var out []string
-	for _, sh := range m.shards {
-		for _, t := range sh.threads {
-			if t.state != stDone {
-				out = append(out, t.String())
-			}
+	for _, t := range m.threads {
+		if t.state != stDone {
+			out = append(out, t.String())
 		}
 	}
 	if len(out) > 8 {
@@ -312,16 +212,14 @@ func (m *Machine) stuckThreads() []string {
 // teardown kills any coroutines still blocked (after a failure or
 // deadlock) so their goroutines exit.
 func (m *Machine) teardown() {
-	// Once the engines have drained (or stopped), every unfinished
-	// coroutine is blocked receiving on its resume channel: yields are
-	// consumed synchronously by step(), so none can be mid-yield here.
-	// Sending the kill message unblocks each one; it panics with
-	// killSentinel and exits without touching its shard's yieldCh.
-	for _, sh := range m.shards {
-		for _, t := range sh.threads {
-			if t.state != stDone {
-				t.resume <- resumeMsg{killed: true}
-			}
+	// Once the engine has drained (or stopped), every unfinished coroutine
+	// is blocked receiving on its resume channel: yields are consumed
+	// synchronously by step(), so none can be mid-yield here. Sending the
+	// kill message unblocks each one; it panics with killSentinel and
+	// exits without touching yieldCh.
+	for _, t := range m.threads {
+		if t.state != stDone {
+			t.resume <- resumeMsg{killed: true}
 		}
 	}
 	m.wg.Wait()
@@ -338,9 +236,6 @@ func (m *Machine) collect(end sim.Time) *metrics.Run {
 		m.exus[pe].closeAccounting(end)
 		r.PEs[pe] = m.stats[pe]
 	}
-	if m.grp != nil {
-		m.obs.Absorb(m.obsSh)
-	}
 	m.obs.Finish(int64(end))
 	if m.Net != nil {
 		st := m.Net.Total()
@@ -348,9 +243,7 @@ func (m *Machine) collect(end sim.Time) *metrics.Run {
 		r.PacketsHops = st.Hops
 		r.NetQueueDelay = st.QueueDelay
 	}
-	for _, e := range m.engines {
-		r.SimEvents += e.Events()
-	}
+	r.SimEvents = m.Eng.Events()
 	return r
 }
 
@@ -363,17 +256,10 @@ func (m *Machine) wakeBlocked(t *thr) {
 	})
 }
 
-// fail records the first failure and stops the engine (or the whole
-// shard group, which halts at the next round boundary).
+// fail records the first failure and stops the engine.
 func (m *Machine) fail(err error) {
-	m.failMu.Lock()
 	if m.failure == nil {
 		m.failure = err
-	}
-	m.failMu.Unlock()
-	if m.grp != nil {
-		m.grp.Stop()
-		return
 	}
 	m.Eng.Stop()
 }

@@ -43,11 +43,10 @@ func (tc *TC) sync() {
 // Now returns the current simulated time. The paper's measurements use a
 // global clock; so does the simulator.
 func (tc *TC) Now() sim.Time {
-	// The shard's engine is blocked in step() while workload code runs,
-	// so reading the clock is race-free once buffered ops are applied
-	// (every member engine agrees on the time inside a lockstep round).
+	// The engine is blocked in step() while workload code runs, so
+	// reading the clock is race-free once buffered ops are applied.
 	tc.sync()
-	return tc.t.eng.Now()
+	return tc.t.m.Eng.Now()
 }
 
 // Compute charges cycles of user computation (the thread's run length).

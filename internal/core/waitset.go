@@ -1,9 +1,6 @@
 package core
 
-import (
-	"emx/internal/metrics"
-	"emx/internal/packet"
-)
+import "emx/internal/metrics"
 
 // WaitSet holds threads blocked on conditions over shared state — the
 // runtime's synchronization primitive beneath barriers and the sorting
@@ -19,7 +16,6 @@ import (
 // satisfied threads through the normal FIFO.
 type WaitSet struct {
 	m       *Machine
-	sh      *shardState
 	waiters []waiter
 }
 
@@ -28,22 +24,8 @@ type waiter struct {
 	cond func() bool
 }
 
-// NewWaitSet creates a wait set bound to the machine. On a sharded
-// machine a wait set must be bound to its owning PE's shard (Notify
-// flushes the shard's running coroutine) — use NewWaitSetOn.
-func (m *Machine) NewWaitSet() *WaitSet {
-	if m.grp != nil {
-		panic("core: NewWaitSet on a sharded machine — use NewWaitSetOn(pe)")
-	}
-	return &WaitSet{m: m, sh: m.shards[0]}
-}
-
-// NewWaitSetOn creates a wait set owned by pe's shard. The state watched
-// by its conditions, every Notify call site, and every waiting thread
-// must live on that same PE (the usual per-PE discipline).
-func (m *Machine) NewWaitSetOn(pe packet.PE) *WaitSet {
-	return &WaitSet{m: m, sh: m.shards[m.peShard[pe]]}
-}
+// NewWaitSet creates a wait set bound to the machine.
+func (m *Machine) NewWaitSet() *WaitSet { return &WaitSet{m: m} }
 
 // Notify re-checks all waiters and wakes those whose condition now holds
 // by pushing their continuation into the owning PE's packet queue (FIFO,
@@ -53,7 +35,7 @@ func (m *Machine) NewWaitSetOn(pe packet.PE) *WaitSet {
 // thread's buffered operations are applied first, so the wake-ups happen
 // at the simulated time they would have without buffering.
 func (ws *WaitSet) Notify() {
-	if cur := ws.sh.cur; cur != nil && len(cur.buf) > 0 {
+	if cur := ws.m.cur; cur != nil && len(cur.buf) > 0 {
 		cur.yieldOp(opFlush{})
 	}
 	kept := ws.waiters[:0]

@@ -205,4 +205,9 @@ func TestPointSpecKeyStable(t *testing.T) {
 	if ps.Key(512) == other.Key(512) {
 		t.Fatal("seed not part of the identity")
 	}
+	// The golden key pins the whole PointSpec -> Config -> RunIdentity
+	// chain: changing it reroutes and invalidates every cached run.
+	if got, want := ps.Key(512), "e809b688b003cdb4df6c4333ae3fa7aaebbc2fa5af5727022764257ec751d94f"; got != want {
+		t.Errorf("ps.Key(512) = %s, want %s", got, want)
+	}
 }

@@ -12,7 +12,6 @@ package harness
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"time"
 
@@ -113,26 +112,6 @@ type PointSpec struct {
 	ReplyHigh bool // resume-first scheduling: replies use the high-priority FIFO
 	Seed      int64
 	Verify    bool // run the workload's self-check (off in sweeps)
-
-	// Shards is the host-side engine-shard count for this point: 0
-	// selects automatically from the machine size and GOMAXPROCS, 1
-	// forces the single engine, >1 forces that many shards. Sharding is
-	// pure host parallelism with byte-identical results, so it is
-	// excluded from Identity and Key — a sharded run shares its cache
-	// entry with the single-engine run.
-	Shards int
-}
-
-// autoShards picks the shard count for Shards == 0: big machines with
-// enough simulated work per cycle to feed several host cores run on 4
-// shards; everything else stays on the single engine (small runs pay
-// more in round barriers than they win back, and sharding requires a
-// power-of-two P).
-func autoShards(p, simN int) int {
-	if runtime.GOMAXPROCS(0) < 4 || p < 64 || p&(p-1) != 0 || simN*p < 1<<20 {
-		return 1
-	}
-	return 4
 }
 
 // config builds the machine configuration a point runs on; it is the
@@ -144,10 +123,6 @@ func (ps PointSpec) config() core.Config {
 		cfg.Proc.ReplyPrio = thread.High
 	}
 	cfg.MaxCycles = sim.Time(1) << 40
-	cfg.Shards = ps.Shards
-	if cfg.Shards == 0 {
-		cfg.Shards = autoShards(ps.P, ps.SimN)
-	}
 	return cfg
 }
 
@@ -249,7 +224,6 @@ type Sweep struct {
 	BlockRead  bool
 	ReplyHigh  bool
 	Seed       int64
-	Shards     int // per-point engine shards (0: auto; see PointSpec.Shards)
 
 	// Observe, when non-nil, attaches a fresh tracer to every executed
 	// point and collects the resulting cycle-accounting profiles. Points
@@ -318,7 +292,6 @@ func (s Sweep) Point(si, hi int) PointSpec {
 		BlockRead: s.BlockRead,
 		ReplyHigh: s.ReplyHigh,
 		Seed:      s.Seed,
-		Shards:    s.Shards,
 	}
 }
 

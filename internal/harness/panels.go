@@ -59,9 +59,6 @@ type PanelOptions struct {
 	// Observe, when non-nil, collects a cycle-accounting profile from
 	// every point the panel's sweeps execute (see Sweep.Observe).
 	Observe *ProfileCollector
-	// Shards is the per-point engine-shard count (0: auto, 1: single
-	// engine). Host-side only; never part of a point's identity.
-	Shards int
 }
 
 // PanelRunner builds the paper's figure panels through an Executor,
@@ -109,7 +106,7 @@ func (pr *PanelRunner) sweep(w Workload, p int, mode proc.ServiceMode, block, re
 	res, err := Sweep{
 		Workload: w, P: p, Scale: pr.opts.Scale, Mode: mode,
 		BlockRead: block, ReplyHigh: replyHigh, Seed: pr.opts.Seed,
-		Observe: pr.opts.Observe, Shards: pr.opts.Shards,
+		Observe: pr.opts.Observe,
 	}.RunOn(pr.exec)
 	if err != nil {
 		return nil, err

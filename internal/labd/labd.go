@@ -436,10 +436,14 @@ func (s *Scheduler) worker() {
 				s.hostNanos.Add(uint64(j.run.HostElapsedSecs * 1e9))
 			}
 		}
-		close(j.done)
+		// The fill hook runs before waiters are released: a caller that
+		// has its result must also see the fill's side effects (queued
+		// replica pushes), or a flush right after the response could
+		// miss them.
 		if cached && s.onFill != nil {
 			s.onFill(j.key, j.run)
 		}
+		close(j.done)
 	}
 }
 

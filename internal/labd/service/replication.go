@@ -109,12 +109,12 @@ func openEnvelope(env CacheEnvelope) (*metrics.Run, error) {
 	return &run, nil
 }
 
-// pushTask is one queued replica push: a pre-marshaled envelope bound
-// for one peer.
+// pushTask is one queued replica push: a cached run bound for one peer.
+// The push loop serializes it, so offering costs the worker no encoding.
 type pushTask struct {
 	key  string
 	node string
-	body []byte
+	run  *metrics.Run
 }
 
 // replicator implements the three replication paths: asynchronous push
@@ -131,7 +131,7 @@ type replicator struct {
 	mu      sync.Mutex
 	self    string
 	ring    *ring.Ring
-	pending int // queued + in-flight pushes, for quiesce
+	pending int // queued + in-flight pushes and running migrations, for quiesce
 
 	queue chan pushTask
 	stop  chan struct{}
@@ -226,27 +226,13 @@ func (r *replicator) offer(key string, run *metrics.Run) int {
 	if !r.enabled() {
 		return 0
 	}
-	targets := r.replicaTargets(key)
-	if len(targets) == 0 {
-		return 0
-	}
-	env, err := envelope(key, run)
-	if err != nil {
-		r.pushErrors.Inc()
-		return 0
-	}
-	body, err := json.Marshal(env)
-	if err != nil {
-		r.pushErrors.Inc()
-		return 0
-	}
 	enqueued := 0
-	for _, node := range targets {
+	for _, node := range r.replicaTargets(key) {
 		r.mu.Lock()
 		r.pending++
 		r.mu.Unlock()
 		select {
-		case r.queue <- pushTask{key: key, node: node, body: body}:
+		case r.queue <- pushTask{key: key, node: node, run: run}:
 			enqueued++
 		default:
 			r.mu.Lock()
@@ -275,9 +261,19 @@ func (r *replicator) pushLoop() {
 }
 
 func (r *replicator) push(t pushTask) {
+	env, err := envelope(t.key, t.run)
+	if err != nil {
+		r.pushErrors.Inc()
+		return
+	}
+	body, err := json.Marshal(env)
+	if err != nil {
+		r.pushErrors.Inc()
+		return
+	}
 	ctx, cancel := context.WithTimeout(context.Background(), r.pushTimeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, t.node+"/v1/cache/put", bytes.NewReader(t.body))
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, t.node+"/v1/cache/put", bytes.NewReader(body))
 	if err != nil {
 		r.pushErrors.Inc()
 		return
@@ -410,9 +406,25 @@ func (r *replicator) migrate(cache replicaCache) int {
 	return offered
 }
 
-// quiesce blocks until every queued push has been attempted, or the
-// timeout lapses. Test and shutdown support; the serving path never
-// waits on replication.
+// startMigration runs the migration walk in the background. The walk
+// counts as pending from before this returns until its last offer is
+// queued and counted, so a quiesce after a membership change waits for
+// it instead of racing its start.
+func (r *replicator) startMigration(cache replicaCache) {
+	r.mu.Lock()
+	r.pending++
+	r.mu.Unlock()
+	go func() {
+		r.migrate(cache)
+		r.mu.Lock()
+		r.pending--
+		r.mu.Unlock()
+	}()
+}
+
+// quiesce blocks until every queued push has been attempted and every
+// background migration has finished, or the timeout lapses. Test and
+// shutdown support; the serving path never waits on replication.
 func (r *replicator) quiesce(timeout time.Duration) bool {
 	deadline := time.Now().Add(timeout) //emx:hostclock test/shutdown synchronization, not a serving path
 	for {

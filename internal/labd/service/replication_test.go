@@ -289,6 +289,11 @@ func TestAntiEntropyMigrationOnJoin(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond) //emx:hostclock
 	}
+	// The pushes can land before the walk counts them; the flush waits
+	// for the walk itself.
+	if !a.FlushReplication(5 * time.Second) {
+		t.Fatal("migration did not finish")
+	}
 	if got := a.Registry().Snapshot()["emxd_cache_replica_migrated_total"]; got != 2 {
 		t.Errorf("migrated = %v, want 2", got)
 	}

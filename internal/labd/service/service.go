@@ -71,10 +71,6 @@ type Options struct {
 	Scale int
 	// Seed is the default input generator seed.
 	Seed int64
-	// Shards is the default engine-shard count for requests that omit
-	// one (0: auto-select per point, 1: single engine). Host-side only;
-	// it never enters a run's cache identity.
-	Shards int
 	// Sched configures the underlying scheduler (workers, queue, cache).
 	Sched labd.Options
 	// Replication configures N-way cache replication across cluster
@@ -159,7 +155,7 @@ func (s *Server) SetPeers(self string, peers []string) {
 		return
 	}
 	if s.repl.setPeers(self, peers) {
-		go s.repl.migrate(s.sched)
+		s.repl.startMigration(s.sched)
 	}
 }
 
@@ -173,9 +169,9 @@ func (s *Server) Migrate() int {
 	return s.repl.migrate(s.sched)
 }
 
-// FlushReplication blocks until queued replica pushes have been
-// attempted (or timeout). Reports whether the queue drained. Always
-// true when replication is disabled.
+// FlushReplication blocks until queued replica pushes and background
+// migration walks have finished (or timeout). Reports whether the queue
+// drained. Always true when replication is disabled.
 func (s *Server) FlushReplication(timeout time.Duration) bool {
 	if s.repl == nil {
 		return true
@@ -298,7 +294,6 @@ type RunRequest struct {
 	BlockRead bool   `json:"block_read,omitempty"` // bitonic block-read ablation
 	ReplyHigh bool   `json:"reply_high,omitempty"` // resume-first reply scheduling
 	Verify    bool   `json:"verify,omitempty"`     // run the workload self-check
-	Shards    int    `json:"shards,omitempty"`     // engine shards (0: server default)
 }
 
 // RunResponse reports one point's measurements and how they were
@@ -323,10 +318,9 @@ type RunResponse struct {
 
 // FigureRequest is the body of POST /v1/figure.
 type FigureRequest struct {
-	Fig    string `json:"fig"`              // panel name, see harness.PanelNames
-	Scale  int    `json:"scale,omitempty"`  // 0: server default
-	Seed   int64  `json:"seed,omitempty"`   // 0: server default
-	Shards int    `json:"shards,omitempty"` // engine shards (0: server default)
+	Fig   string `json:"fig"`             // panel name, see harness.PanelNames
+	Scale int    `json:"scale,omitempty"` // 0: server default
+	Seed  int64  `json:"seed,omitempty"`  // 0: server default
 }
 
 // FigureResponse carries the panel's figures.
@@ -347,7 +341,6 @@ type StatusResponse struct {
 	CacheCap      int                `json:"cache_cap"`
 	DefaultScale  int                `json:"default_scale"`
 	DefaultSeed   int64              `json:"default_seed"`
-	DefaultShards int                `json:"default_shards"`
 	Replicas      int                `json:"replicas,omitempty"`
 	Panels        []string           `json:"panels"`
 	Throughput    Throughput         `json:"throughput"`
@@ -509,14 +502,9 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// pointSpec validates a run request and resolves it to a PointSpec,
-// filling the server's default shard count when the request omits one.
+// pointSpec validates a run request and resolves it to a PointSpec.
 func (s *Server) pointSpec(req RunRequest) (harness.PointSpec, int, error) {
-	ps, scale, err := ResolveRun(req, s.opts.Scale, s.opts.Seed)
-	if err == nil && ps.Shards == 0 {
-		ps.Shards = s.opts.Shards
-	}
-	return ps, scale, err
+	return ResolveRun(req, s.opts.Scale, s.opts.Seed)
 }
 
 // ResolveRun validates a run request against default scale/seed and
@@ -553,9 +541,6 @@ func ResolveRun(req RunRequest, defaultScale int, defaultSeed int64) (harness.Po
 	if err != nil {
 		return harness.PointSpec{}, 0, err
 	}
-	if err := validShards(req.Shards); err != nil {
-		return harness.PointSpec{}, 0, err
-	}
 	sw := harness.Sweep{P: req.P, Scale: scale, Threads: []int{req.H}}
 	return harness.PointSpec{
 		Workload:  w,
@@ -568,21 +553,7 @@ func ResolveRun(req RunRequest, defaultScale int, defaultSeed int64) (harness.Po
 		ReplyHigh: req.ReplyHigh,
 		Seed:      seed,
 		Verify:    req.Verify,
-		Shards:    req.Shards,
 	}, scale, nil
-}
-
-// validShards rejects shard counts the core machine would refuse, with
-// the request-level vocabulary (the P-dependent checks stay with
-// core.Config.Validate).
-func validShards(shards int) error {
-	if shards < 0 {
-		return fmt.Errorf("shards must be >= 0, got %d", shards)
-	}
-	if shards > 1 && shards&(shards-1) != 0 {
-		return fmt.Errorf("shards must be a power of two, got %d", shards)
-	}
-	return nil
 }
 
 func (s *Server) handleFigure(w http.ResponseWriter, r *http.Request) {
@@ -612,15 +583,7 @@ func (s *Server) handleFigure(w http.ResponseWriter, r *http.Request) {
 	if seed == 0 {
 		seed = s.opts.Seed
 	}
-	shards := req.Shards
-	if shards == 0 {
-		shards = s.opts.Shards
-	}
-	if err := validShards(shards); err != nil {
-		s.writeError(w, err)
-		return
-	}
-	pr := harness.NewPanelRunner(harness.PanelOptions{Scale: scale, Seed: seed, Shards: shards},
+	pr := harness.NewPanelRunner(harness.PanelOptions{Scale: scale, Seed: seed},
 		s.executor(RequestDeadline(r)))
 	figs, err := pr.Panel(name)
 	if err != nil {
@@ -644,7 +607,6 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 		CacheCap:      st.CacheCap,
 		DefaultScale:  s.opts.Scale,
 		DefaultSeed:   s.opts.Seed,
-		DefaultShards: s.opts.Shards,
 		Replicas:      s.opts.Replication.Replicas,
 		Panels:        harness.PanelNames(),
 		Throughput: Throughput{

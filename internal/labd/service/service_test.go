@@ -97,8 +97,6 @@ func TestRunEndpointValidation(t *testing.T) {
 		{Workload: "fft", P: 4, H: 1, N: 0},
 		{Workload: "fft", P: 4, H: 1, N: 1024, Mode: "warp"},
 		{Workload: "fft", P: 4, H: 1, N: 1024, Scale: -1},
-		{Workload: "fft", P: 4, H: 1, N: 1024, Shards: 3},
-		{Workload: "fft", P: 4, H: 1, N: 1024, Shards: -2},
 	}
 	for i, req := range bad {
 		resp := postJSON(t, ts.URL+"/v1/run", req)
@@ -119,23 +117,21 @@ func TestRunEndpointValidation(t *testing.T) {
 	}
 }
 
-// TestRunEndpointShardsShareIdentity: a sharded request reports the same
-// key and measurements as the single-engine run — sharding is host-side
-// only, so the second request is a straight cache hit.
-func TestRunEndpointShardsShareIdentity(t *testing.T) {
+// TestRunEndpointIgnoresLegacyShards: request bodies written for older
+// servers may still carry a "shards" field. The decoder ignores unknown
+// fields, so such a request resolves to the same run identity and is a
+// plain cache hit.
+func TestRunEndpointIgnoresLegacyShards(t *testing.T) {
 	_, ts := newTestServer(t)
 	req := RunRequest{Workload: "bitonic", P: 4, H: 2, N: 64 << 10}
 	first := decode[RunResponse](t, postJSON(t, ts.URL+"/v1/run", req))
 	if first.Source != "executed" {
 		t.Fatalf("first request source %q, want executed", first.Source)
 	}
-	req.Shards = 4
-	second := decode[RunResponse](t, postJSON(t, ts.URL+"/v1/run", req))
-	if second.Key != first.Key {
-		t.Fatalf("shards entered the run identity: %q vs %q", second.Key, first.Key)
-	}
-	if second.Source != "cached" || second.MakespanCycles != first.MakespanCycles {
-		t.Fatalf("sharded request not served from the shared cache entry: %+v", second)
+	legacy := json.RawMessage(`{"workload":"bitonic","p":4,"h":2,"n":65536,"shards":4}`)
+	second := decode[RunResponse](t, postJSON(t, ts.URL+"/v1/run", legacy))
+	if second.Key != first.Key || second.Source != "cached" {
+		t.Fatalf("legacy shards field changed the request: %+v, want key %s cached", second, first.Key)
 	}
 }
 

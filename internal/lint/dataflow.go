@@ -9,10 +9,7 @@ import (
 // source sites (an index into an engine slice, a host-clock read) and
 // the engine propagates the labels forward through a function body:
 // assignments, short variable declarations, range statements, and
-// address/dereference chains. Interprocedural flow is handled by call
-// summaries computed as a fixpoint over the call graph (see Summaries),
-// so a label can follow a value through helper functions — the ≥2-deep
-// cases the v2 analyzers exist for.
+// address/dereference chains.
 //
 // The lattice is a set of string labels per variable; the transfer
 // function is monotone (labels are only added), so the local fixpoint
@@ -38,17 +35,13 @@ type Taint struct {
 	// source classifies an expression as a taint source, returning its
 	// labels (nil: not a source).
 	source func(expr ast.Expr) Labels
-	// call, when non-nil, transfers labels through a call expression
-	// given the already-computed labels of each argument (nil: calls
-	// never produce tainted results).
-	call func(call *ast.CallExpr, argLabels []Labels) Labels
 
 	vars map[types.Object]Labels
 }
 
 // NewTaint prepares a forward taint analysis over one function body.
-func NewTaint(pkg *Package, source func(ast.Expr) Labels, call func(*ast.CallExpr, []Labels) Labels) *Taint {
-	return &Taint{pkg: pkg, source: source, call: call, vars: map[types.Object]Labels{}}
+func NewTaint(pkg *Package, source func(ast.Expr) Labels) *Taint {
+	return &Taint{pkg: pkg, source: source, vars: map[types.Object]Labels{}}
 }
 
 // Run propagates labels through body to a local fixpoint.
@@ -171,197 +164,10 @@ func (t *Taint) of(expr ast.Expr, out Labels) {
 	case *ast.TypeAssertExpr:
 		t.of(e.X, out)
 	case *ast.CallExpr:
-		if t.call != nil {
-			argLabels := make([]Labels, len(e.Args))
-			for i, a := range e.Args {
-				argLabels[i] = t.Of(a)
-			}
-			out.add(t.call(e, argLabels))
-		} else if tv, ok := t.pkg.Info.Types[e.Fun]; ok && tv.IsType() && len(e.Args) == 1 {
+		if tv, ok := t.pkg.Info.Types[e.Fun]; ok && tv.IsType() && len(e.Args) == 1 {
 			t.of(e.Args[0], out) // conversions preserve labels
 		}
 	}
-}
-
-// VarLabels returns the accumulated labels of a variable.
-func (t *Taint) VarLabels(obj types.Object) Labels { return t.vars[obj] }
-
-// --- Call summaries -------------------------------------------------
-
-// ParamUse is the summary bitmask for one parameter: how a labeled
-// value passed in that position is used by the callee, transitively.
-type ParamUse uint8
-
-const (
-	// ParamUsed: the callee (or something it calls) invokes a method on
-	// the value, indexes with it, stores it beyond the call, or
-	// otherwise consumes it as state.
-	ParamUsed ParamUse = 1 << iota
-	// ParamTargetOnly: the value flows only into a sanctioned sink
-	// (the AtHandlerOn target argument).
-	ParamTargetOnly
-)
-
-// Summaries maps each call-graph node to per-parameter usage flags for
-// parameters of interest (as selected by the analyzer's filter).
-// Receivers count as parameter -1.
-type Summaries struct {
-	use map[*FuncNode]map[int]ParamUse
-}
-
-// Use returns the summary flags for parameter i of fn (receiver: -1).
-func (s *Summaries) Use(n *FuncNode, i int) ParamUse {
-	if s == nil || n == nil {
-		return 0
-	}
-	return s.use[n][i]
-}
-
-// paramObjects returns fn's parameter objects keyed by index, with the
-// receiver at -1, restricted by filter.
-func paramObjects(pkg *Package, fd *ast.FuncDecl, filter func(types.Type) bool) map[int]types.Object {
-	out := map[int]types.Object{}
-	idx := 0
-	if fd.Recv != nil {
-		for _, fld := range fd.Recv.List {
-			for _, name := range fld.Names {
-				if obj := pkg.Info.Defs[name]; obj != nil && filter(obj.Type()) {
-					out[-1] = obj
-				}
-			}
-		}
-	}
-	for _, fld := range fd.Type.Params.List {
-		n := len(fld.Names)
-		if n == 0 {
-			idx++
-			continue
-		}
-		for _, name := range fld.Names {
-			if obj := pkg.Info.Defs[name]; obj != nil && filter(obj.Type()) {
-				out[idx] = obj
-			}
-			idx++
-		}
-	}
-	return out
-}
-
-// ComputeSummaries runs the interprocedural fixpoint: for every loaded
-// function whose parameters pass the type filter, determine how a value
-// arriving in each such parameter is used, following calls to other
-// summarized functions. isUse classifies a local use of a tracked value
-// (method call on it, indexing with it, escaping store); sanctionedSink
-// marks argument positions whose consumption is approved (AtHandlerOn
-// targets). Both see the summary map built so far, so nested helper
-// chains converge over the sweeps (bounded: flags only accumulate).
-func ComputeSummaries(prog *Program, filter func(types.Type) bool) *Summaries {
-	s := &Summaries{use: map[*FuncNode]map[int]ParamUse{}}
-	g := prog.Graph()
-	// Seed every candidate function, then sweep to fixpoint. The depth
-	// of helper chains in practice is tiny; cap sweeps defensively.
-	for sweep := 0; sweep < 10; sweep++ {
-		changed := false
-		for _, n := range g.Nodes() {
-			if n.Decl == nil || n.Decl.Body == nil || n.Pkg == nil {
-				continue
-			}
-			params := paramObjects(n.Pkg, n.Decl, filter)
-			if len(params) == 0 {
-				continue
-			}
-			cur := s.use[n]
-			if cur == nil {
-				cur = map[int]ParamUse{}
-				s.use[n] = cur
-			}
-			for i, obj := range params {
-				flags := summarizeParam(n, obj, s, g)
-				if cur[i]|flags != cur[i] {
-					cur[i] |= flags
-					changed = true
-				}
-			}
-		}
-		if !changed {
-			break
-		}
-	}
-	return s
-}
-
-// summarizeParam scans n's body for uses of the tracked parameter obj.
-func summarizeParam(n *FuncNode, obj types.Object, s *Summaries, g *Graph) ParamUse {
-	pkg := n.Pkg
-	var flags ParamUse
-	isObj := func(e ast.Expr) bool {
-		id, ok := ast.Unparen(e).(*ast.Ident)
-		return ok && pkg.Info.Uses[id] == obj
-	}
-	ast.Inspect(n.Decl.Body, func(node ast.Node) bool {
-		switch node := node.(type) {
-		case *ast.CallExpr:
-			if sel, ok := ast.Unparen(node.Fun).(*ast.SelectorExpr); ok {
-				if isObj(sel.X) {
-					// Method invoked on the tracked value.
-					flags |= ParamUsed
-				}
-				// Argument positions: sanctioned target slot of
-				// AtHandlerOn, otherwise follow the callee summary.
-				for i, arg := range node.Args {
-					if !isObj(arg) {
-						continue
-					}
-					if sel.Sel.Name == "AtHandlerOn" && i == 0 {
-						flags |= ParamTargetOnly
-						continue
-					}
-					flags |= calleeParamUse(pkg, node, i, s, g)
-				}
-				return true
-			}
-			for i, arg := range node.Args {
-				if isObj(arg) {
-					flags |= calleeParamUse(pkg, node, i, s, g)
-				}
-			}
-		case *ast.IndexExpr:
-			if isObj(node.Index) {
-				flags |= ParamUsed // used as a state index
-			}
-		case *ast.AssignStmt:
-			// Storing the value beyond a local (a field, an element)
-			// escapes the analysis: treat as used.
-			for i := range node.Rhs {
-				if i < len(node.Lhs) && isObj(node.Rhs[i]) {
-					if _, isIdent := ast.Unparen(node.Lhs[i]).(*ast.Ident); !isIdent {
-						flags |= ParamUsed
-					}
-				}
-			}
-		}
-		return true
-	})
-	return flags
-}
-
-// calleeParamUse resolves the static callee of call and returns its
-// summary for argument i, defaulting to ParamUsed for calls the graph
-// cannot resolve to a summarized body (conservative).
-func calleeParamUse(pkg *Package, call *ast.CallExpr, i int, s *Summaries, g *Graph) ParamUse {
-	callee := StaticCallee(pkg, call)
-	if callee == nil {
-		return ParamUsed
-	}
-	n := g.NodeOf(callee)
-	if n == nil || n.Decl == nil {
-		return ParamUsed
-	}
-	if use, ok := s.use[n][i]; ok {
-		return use
-	}
-	// Summarized body with no recorded use of that slot: unused so far.
-	return 0
 }
 
 // StaticCallee resolves a call to its named callee, or nil for

@@ -30,14 +30,9 @@ const (
 	// strict simtime/flushbefore rules). Consumed by the package
 	// classifier.
 	DirDeterminism = "determinism"
-	// DirCrossShard marks an audited line that intentionally touches
-	// another shard's state or engine outside the AtHandlerOn channel.
-	// Consumed by shardaffinity.
-	DirCrossShard = "crossshard"
 	// DirNoFingerprint, on a Config field declaration, attests that the
 	// field is host-side only: excluded from Fingerprint AND proven not
-	// to change simulation results (the Shards contract). Consumed by
-	// fingerprintpurity.
+	// to change simulation results. Consumed by fingerprintpurity.
 	DirNoFingerprint = "nofingerprint"
 	// DirObsHook marks a function declaration as an observability entry
 	// point in addition to the built-in emx/internal/obs exports.
@@ -54,7 +49,6 @@ var knownDirectives = map[string]bool{
 	DirHotPath:        true,
 	DirColdPath:       true,
 	DirDeterminism:    true,
-	DirCrossShard:     true,
 	DirNoFingerprint:  true,
 	DirObsHook:        true,
 	DirObsExempt:      true,
@@ -294,7 +288,7 @@ func runEmxDirective(pass *Pass) {
 
 func knownNames() string {
 	return strings.Join([]string{
-		DirColdPath, DirCrossShard, DirDeterminism, DirHostClock, DirHotPath,
+		DirColdPath, DirDeterminism, DirHostClock, DirHotPath,
 		DirNoFingerprint, DirObsExempt, DirObsHook, DirOrderInvariant,
 	}, ", ")
 }

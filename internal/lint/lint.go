@@ -3,8 +3,7 @@
 // can only sample: simulations are pure functions of core.RunIdentity
 // (the content-addressed run cache and the golden panel hashes both
 // assume bit-for-bit determinism), the scheduler fast lane stays
-// allocation-free, and — since PR 6 — one simulation may be advanced by
-// several engine shards whose interleaving must be unobservable. The
+// allocation-free, and observability never perturbs the run. The
 // analyzers here enforce those invariants structurally, at compile
 // time.
 //
@@ -31,9 +30,6 @@
 // Interprocedural suite (v2), built on a whole-program call graph and
 // a forward taint engine (callgraph.go, dataflow.go):
 //
-//   - shardaffinity: a handler-reachable function may resolve state
-//     for at most one shard; cross-shard work goes through AtHandlerOn
-//     (//emx:crossshard is the audited escape hatch)
 //   - fingerprintpurity: a Config field excluded from Fingerprint must
 //     not be read on a result-affecting path unless the field carries
 //     //emx:nofingerprint
@@ -58,8 +54,7 @@ import (
 )
 
 // Related is a secondary position attached to a diagnostic: a
-// propagation-chain step, the first conflicting shard access, a
-// result-affecting read site.
+// propagation-chain step or a result-affecting read site.
 type Related struct {
 	Pos     token.Position `json:"pos"`
 	Message string         `json:"message"`
@@ -183,7 +178,6 @@ func Analyzers() []*Analyzer {
 		SimTime,
 		FlushBefore,
 		EmxDirective,
-		ShardAffinity,
 		FingerprintPurity,
 		ObsPurity,
 		HotPropagate,

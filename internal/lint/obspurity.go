@@ -19,8 +19,8 @@ import (
 // marked //emx:obshook) and flags, in the reachable set:
 //
 //   - calls to mutating methods of the runtime state types (Engine,
-//     Group, Machine, TC, Network, Resource) — a read-only allowlist
-//     (Now, Snapshot, Shards, ...) is exempt;
+//     Machine, TC, Network, Resource) — a read-only allowlist
+//     (Now, Events, P, ...) is exempt;
 //   - assignments that write through a value of those types;
 //   - calls to cycle-charging functions (Charge*/charge*).
 //
@@ -37,7 +37,6 @@ var ObsPurity = &Analyzer{
 // read but never mutate.
 var obsStateTypes = map[string]bool{
 	"Engine":   true,
-	"Group":    true,
 	"Machine":  true,
 	"TC":       true,
 	"Network":  true,
@@ -49,9 +48,6 @@ var obsPureMethods = map[string]bool{
 	"Now":             true,
 	"Events":          true,
 	"Pending":         true,
-	"Snapshot":        true,
-	"Stopped":         true,
-	"Shards":          true,
 	"P":               true,
 	"RouteHops":       true,
 	"UnloadedLatency": true,
