@@ -96,8 +96,8 @@ func main() {
 		}
 		off, err1 := strconv.Atoi(parts[0])
 		n, err2 := strconv.Atoi(parts[1])
-		if err1 != nil || err2 != nil || off < 0 || n <= 0 {
-			fmt.Fprintln(os.Stderr, "emxasm: bad -dump range")
+		if err1 != nil || err2 != nil || off < 0 || n <= 0 || n > cfg.MemWords-off {
+			fmt.Fprintf(os.Stderr, "emxasm: bad -dump range (memory is %d words)\n", cfg.MemWords)
 			os.Exit(2)
 		}
 		pes := 1

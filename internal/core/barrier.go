@@ -92,10 +92,6 @@ func (m *Machine) barrierToken(pe packet.PE, pkt *packet.Packet) {
 // switches; the EXU idle time while every local thread waits surfaces as
 // communication time.
 func (tc *TC) Barrier(b *Barrier) {
-	// Apply buffered operations first: the arrival counter and episode
-	// snapshot below must reflect sync tokens delivered up to the
-	// simulated time the preceding work completed.
-	tc.sync()
 	pe := tc.t.pe
 	l := &b.local[pe]
 	myEp := l.episodes
@@ -126,14 +122,5 @@ func (tc *TC) Barrier(b *Barrier) {
 
 // sendSync emits one barrier round token.
 func (tc *TC) sendSync(b *Barrier, partner packet.PE, round int) {
-	tc.t.yieldOp(opWriteSync{
-		addr: packet.GlobalAddr{PE: partner, Off: b.id},
-		data: packet.Word(round),
-	})
-}
-
-// opWriteSync is like opWrite but emits a KindSync packet.
-type opWriteSync struct {
-	addr packet.GlobalAddr
-	data packet.Word
+	tc.t.do(op{kind: opWriteSync, addr: packet.GlobalAddr{PE: partner, Off: b.id}, data: packet.Word(round)})
 }

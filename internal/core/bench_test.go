@@ -6,13 +6,13 @@ import (
 	"emx/internal/packet"
 )
 
-// BenchmarkOpBufferThroughput drives the non-suspending operation fast
-// path: threads that compute, write remotely, and store locally in a
-// tight loop, so nearly every simulated operation travels through the
-// per-thread operation buffer instead of a goroutine round-trip. The
+// BenchmarkNonSuspendingOps drives the operations that do not suspend
+// the thread: threads that compute, write remotely, and store locally in
+// a tight loop, so nearly every simulated operation is one coroutine
+// switch to the engine and back with no EXU context switch. The
 // simCycles/s and events/s metrics are the host-throughput numbers
 // BENCH_*.json tracks at the machine level.
-func BenchmarkOpBufferThroughput(b *testing.B) {
+func BenchmarkNonSuspendingOps(b *testing.B) {
 	const (
 		p       = 4
 		threads = 4

@@ -1,7 +1,11 @@
+//go:build go1.23
+
 package core
 
 import (
 	"fmt"
+	"iter"
+	"sync"
 
 	"emx/internal/metrics"
 	"emx/internal/packet"
@@ -14,80 +18,56 @@ import (
 // it owns the EXU exclusively between two such operations.
 type ThreadFn func(tc *TC)
 
-// errKilled is panicked inside coroutines that are torn down after a run
-// aborts; it must never escape Machine.
+// killSentinel unwinds a coroutine that teardown stopped while it was
+// parked on an operation; the coroutine recovers it, so it never
+// escapes Machine.
 type killSentinel struct{}
 
-// resumeMsg is what the engine hands a coroutine when scheduling it.
-type resumeMsg struct {
-	val    packet.Word   // single-read result or spawn argument
-	vals   []packet.Word // block-read result
-	killed bool
-}
+// opKind names a machine operation a thread hands to the engine. Each
+// corresponds to one or more EMC-Y instructions; the exu translates it
+// into cycle charges and packets and schedules exactly one engine event
+// for it.
+type opKind uint8
 
-// yieldMsg is what a coroutine hands back: the operation it wants the
-// machine to perform.
-type yieldMsg struct {
-	t  *thr
-	op any
-}
-
-// Operations a thread can yield — the true suspension points. Each
-// corresponds to one or more EMC-Y instructions; the exu translates
-// them into cycle charges and packets. Non-suspending operations
-// (compute, remote write, local store) travel in the thread's
-// operation buffer instead (see bufOp).
-type (
-	// opRead issues a split-phase remote read and suspends.
-	opRead struct{ addr packet.GlobalAddr }
-	// opReadBlock issues a block read request and suspends until all
-	// words arrive.
-	opReadBlock struct {
-		addr packet.GlobalAddr
-		n    int
-	}
-	// opSpawn sends an invoke packet enabling fn on a (possibly remote) PE.
-	opSpawn struct {
-		pe   packet.PE
-		name string
-		arg  packet.Word
-		fn   ThreadFn
-	}
-	// opYield re-queues the thread at the tail of the FIFO (explicit
-	// context switch); kind classifies why, for Figure 9.
-	opYield struct{ kind metrics.SwitchKind }
-	// opLocalLoad reads the PE's own memory through the EXU/MCU port.
-	opLocalLoad struct{ off uint32 }
-	// opDone signals normal completion of the thread body.
-	opDone struct{}
-	// opPanic forwards a workload panic to the machine.
-	opPanic struct{ reason any }
-	// opFlush carries no operation of its own: it hands control to the
-	// engine so the thread's buffered non-suspending operations are
-	// applied, then resumes the coroutine at the resulting time. TC
-	// yields it before anything that must observe up-to-date state
-	// (Now, PeekLocal, PokeLocal) while the buffer is non-empty.
-	opFlush struct{}
-)
-
-// Buffered non-suspending operations. TC appends these to the thread's
-// operation buffer instead of yielding, so the two goroutine handoffs
-// per operation happen only at true suspension points. The engine
-// replays the buffer one event per op at the next yield, reproducing
-// the exact event sequence the unbuffered path would have produced —
-// that replay is what keeps results bit-identical.
 const (
-	bufCompute uint8 = iota
-	bufWrite
-	bufLocalStore
+	// opCompute charges cycles of user computation.
+	opCompute opKind = iota
+	// opWrite sends a remote write packet; the thread does not suspend.
+	opWrite
+	// opLocalStore writes the PE's own memory through the EXU/MCU port.
+	opLocalStore
+	// opLocalLoad reads the PE's own memory through the EXU/MCU port.
+	opLocalLoad
+	// opRead issues a split-phase (block) read and suspends until all
+	// words arrive.
+	opRead
+	// opWriteSync sends a barrier round token (a KindSync packet).
+	opWriteSync
+	// opSpawn sends an invoke packet enabling fn on a (possibly remote) PE.
+	opSpawn
+	// opYield re-queues the thread at the tail of the FIFO (explicit
+	// context switch); sw classifies why, for Figure 9.
+	opYield
+	// opWait suspends the thread on a wait set until cond holds.
+	opWait
+	// opExit reports that the thread's body returned (or panicked).
+	opExit
 )
 
-type bufOp struct {
-	kind   uint8
-	off    uint32            // bufLocalStore
-	addr   packet.GlobalAddr // bufWrite
-	data   packet.Word       // bufWrite, bufLocalStore
-	cycles sim.Time          // bufCompute
+// op is one operation a thread yields to the engine. It crosses the
+// coroutine switch by value, so yielding does not allocate; each kind
+// uses only the fields named beside them.
+type op struct {
+	kind   opKind
+	sw     metrics.SwitchKind // opYield, opWait
+	cycles sim.Time           // opCompute
+	n      int                // opRead: words to read
+	addr   packet.GlobalAddr  // all but opCompute, opYield, opWait; only PE for opSpawn
+	data   packet.Word        // opWrite, opWriteSync, opLocalStore; opSpawn's argument
+	name   string             // opSpawn
+	fn     ThreadFn           // opSpawn
+	ws     *WaitSet           // opWait
+	cond   func() bool        // opWait
 }
 
 // thrState tracks where a thread is in its lifecycle, for diagnostics.
@@ -129,26 +109,21 @@ type readWait struct {
 
 // thr is the engine-side handle of one simulated thread.
 type thr struct {
-	m      *Machine
-	pe     packet.PE
-	frame  uint32
-	name   string
-	fn     ThreadFn
-	resume chan resumeMsg
-	state  thrState
-	rw     *readWait
+	m     *Machine
+	pe    packet.PE
+	frame uint32
+	name  string
+	state thrState
+	rw    *readWait
 
-	// Operation buffer: non-suspending ops appended by TC between two
-	// yields. bufIdx is the engine's replay position; final is the
-	// yielded (suspending) op replayed after the buffer drains. The
-	// backing array is reused across yields.
-	buf    []bufOp
-	bufIdx int
-	final  any
+	// co runs the thread's body; nil once the body has returned.
+	co *coroutine
+	// panicked is a workload panic recovered inside the coroutine.
+	panicked any
 
-	// Continuation context for the exu's allocation-free event
-	// handlers: the resume payload and the packet to inject, staged
-	// here instead of in per-event closures.
+	// Continuation context, staged here instead of in per-event
+	// closures: the result the body reads after a load (resumeVal) or
+	// read (resumeVals), and the packet the exu's handlers inject.
 	resumeVal  packet.Word
 	resumeVals []packet.Word
 	pendingPkt *packet.Packet
@@ -158,55 +133,97 @@ func (t *thr) String() string {
 	return fmt.Sprintf("PE%d:%s(frame %d, %s)", t.pe, t.name, t.frame, t.state)
 }
 
-// main is the coroutine body running on its own goroutine.
-func (t *thr) main() {
-	defer t.m.wg.Done()
-	first := <-t.resume
-	if first.killed {
-		return
-	}
-	defer func() {
-		if r := recover(); r != nil {
-			if _, ok := r.(killSentinel); ok {
-				return
-			}
-			// Forward workload panics to the machine, which is blocked in
-			// step() waiting for this thread's yield.
-			t.m.yieldCh <- yieldMsg{t: t, op: opPanic{reason: r}}
-		}
-	}()
-	tc := &TC{t: t, arg: first.val}
-	t.fn(tc)
-	t.m.yieldCh <- yieldMsg{t: t, op: opDone{}}
-}
-
-// yieldOp hands an operation to the engine and blocks until resumed.
-// Called only from the coroutine goroutine.
-func (t *thr) yieldOp(op any) resumeMsg {
-	t.m.yieldCh <- yieldMsg{t: t, op: op}
-	msg := <-t.resume
-	if msg.killed {
+// do hands o to the engine and parks the body until the engine resumes
+// it. Called only from the coroutine.
+func (t *thr) do(o op) {
+	if !t.co.yield(o) {
 		panic(killSentinel{})
 	}
-	return msg
 }
 
-// step resumes thread t with msg and waits for its next operation.
-// Called only from the engine side; exactly one coroutine runs at a time,
-// so workload code never races with the simulator.
-//
-// m.cur marks the running coroutine for the duration of the step: it is
-// non-nil exactly while workload code executes (the channel handoffs
-// order the writes), letting runtime primitives called from workload
-// code (WaitSet.Notify) flush the thread's operation buffer first.
-func (m *Machine) step(t *thr, msg resumeMsg) any {
-	m.cur = t
-	t.state = stRunning
-	t.resume <- msg
-	y := <-m.yieldCh
-	m.cur = nil
-	if y.t != t {
-		panic(fmt.Sprintf("core: yield from %v while stepping %v", y.t, t)) //emx:coldpath
+// coroutine is an iter.Pull coroutine that runs thread bodies. The
+// engine resumes it with next and it hands back the body's next
+// operation; exactly one coroutine runs at a time, and only while the
+// engine waits in next, so workload code never races with the
+// simulator. When a body returns, the coroutine yields opExit and parks,
+// ready to run the next thread's body.
+type coroutine struct {
+	next  func() (op, bool)
+	yield func(op) bool
+	stop  func()
+
+	// The body to run and its thread, set before the first next.
+	t   *thr
+	fn  ThreadFn
+	arg packet.Word
+}
+
+// run executes the current body. It recovers a workload panic into the
+// thread, and the sentinel with which stop unwinds a parked body.
+func (c *coroutine) run() {
+	defer func() {
+		if r := recover(); r != nil {
+			if _, killed := r.(killSentinel); !killed {
+				c.t.panicked = r
+			}
+		}
+	}()
+	c.fn(&TC{t: c.t, arg: c.arg})
+}
+
+// idle holds parked coroutines between threads, process-wide, up to
+// maxIdle (pool_race.go, pool_norace.go): a finished thread's coroutine
+// runs a later thread of any machine, and one released beyond the cap
+// exits. Only race builds keep any. There each coroutine that exits
+// keeps about 5 KB of detector state, because the runtime's coroutine
+// exit skips the detector's goroutine-end hook; reuse bounds coroutine
+// creation by the peak number of live threads instead of the total. A
+// race run of the load-lab determinism test peaked at 4.2 GB without
+// the pool and 1.0 GB with it.
+var idle struct {
+	sync.Mutex
+	cos []*coroutine
+}
+
+// start binds a coroutine, reused or new, to run fn with arg as t's
+// body. The body first runs when the engine calls next.
+func (t *thr) start(fn ThreadFn, arg packet.Word) {
+	idle.Lock()
+	var c *coroutine
+	if n := len(idle.cos); n > 0 {
+		c = idle.cos[n-1]
+		idle.cos = idle.cos[:n-1]
 	}
-	return y.op
+	idle.Unlock()
+	if c == nil {
+		c = &coroutine{}
+		c.next, c.stop = iter.Pull(func(yield func(op) bool) {
+			c.yield = yield
+			for {
+				c.run()
+				if !yield(op{kind: opExit}) {
+					return
+				}
+			}
+		})
+	}
+	c.t, c.fn, c.arg = t, fn, arg
+	t.co = c
+}
+
+// release hands the coroutine of a thread whose body returned back to
+// the idle pool.
+func (t *thr) release() {
+	c := t.co
+	t.co = nil
+	c.t, c.fn = nil, nil
+	idle.Lock()
+	if len(idle.cos) < maxIdle {
+		idle.cos = append(idle.cos, c)
+		c = nil
+	}
+	idle.Unlock()
+	if c != nil {
+		c.stop()
+	}
 }

@@ -31,8 +31,6 @@ type exu struct {
 	idleSince    sim.Time // valid when !busy
 	restoredSeen uint64   // spill restores already charged
 
-	hApply         sim.Handler
-	hInjectApply   sim.Handler
 	hInjectResume  sim.Handler
 	hResume        sim.Handler
 	hStart         sim.Handler
@@ -46,8 +44,6 @@ type exu struct {
 
 func newEXU(m *Machine, pe packet.PE) *exu {
 	x := &exu{m: m, pe: pe, p: m.Procs[pe], st: &m.stats[pe], idleSince: 0}
-	x.hApply = applyH{x}
-	x.hInjectApply = injectApplyH{x}
 	x.hInjectResume = injectResumeH{x}
 	x.hResume = resumeH{x}
 	x.hStart = startH{x}
@@ -60,25 +56,8 @@ func newEXU(m *Machine, pe packet.PE) *exu {
 	return x
 }
 
-// applyH continues replaying a thread's operation buffer.
-type applyH struct{ x *exu }
-
-func (h applyH) OnEvent(arg sim.EventArg) { h.x.apply(arg.Ptr.(*thr)) }
-
-// injectApplyH injects the thread's staged packet, then continues the
-// buffer replay (remote writes: the thread does not suspend).
-type injectApplyH struct{ x *exu }
-
-func (h injectApplyH) OnEvent(arg sim.EventArg) {
-	t := arg.Ptr.(*thr)
-	pkt := t.pendingPkt
-	t.pendingPkt = nil
-	h.x.p.Inject(pkt)
-	h.x.apply(t)
-}
-
 // injectResumeH injects the thread's staged packet, then resumes the
-// coroutine (spawn and sync sends do not suspend).
+// coroutine (remote writes, spawns and sync sends do not suspend).
 type injectResumeH struct{ x *exu }
 
 func (h injectResumeH) OnEvent(arg sim.EventArg) {
@@ -86,13 +65,14 @@ func (h injectResumeH) OnEvent(arg sim.EventArg) {
 	pkt := t.pendingPkt
 	t.pendingPkt = nil
 	h.x.p.Inject(pkt)
-	h.x.execResume(t)
+	h.x.exec(t)
 }
 
-// resumeH resumes the coroutine with its staged payload (local loads).
+// resumeH resumes the coroutine once its operation's cycles have elapsed
+// (compute, local memory access).
 type resumeH struct{ x *exu }
 
-func (h resumeH) OnEvent(arg sim.EventArg) { h.x.execResume(arg.Ptr.(*thr)) }
+func (h resumeH) OnEvent(arg sim.EventArg) { h.x.exec(arg.Ptr.(*thr)) }
 
 // startH begins a freshly invoked thread after frame setup.
 type startH struct{ x *exu }
@@ -100,7 +80,7 @@ type startH struct{ x *exu }
 func (h startH) OnEvent(arg sim.EventArg) {
 	t := arg.Ptr.(*thr)
 	h.x.m.trace(TraceStart, t)
-	h.x.execResume(t)
+	h.x.exec(t)
 }
 
 // runH continues a suspended thread after the register restore.
@@ -109,7 +89,7 @@ type runH struct{ x *exu }
 func (h runH) OnEvent(arg sim.EventArg) {
 	t := arg.Ptr.(*thr)
 	h.x.m.trace(TraceRun, t)
-	h.x.execResume(t)
+	h.x.exec(t)
 }
 
 // dispatchH pops the next queue packet.
@@ -197,24 +177,15 @@ func (x *exu) handle(pkt *packet.Packet) {
 	case packet.KindInvoke:
 		info := x.m.takeSpawn(pkt.Seq)
 		f := x.p.Frames.Alloc(thread.NoFrame, info.name)
-		t := &thr{
-			m:      x.m,
-			pe:     x.pe,
-			frame:  f.ID,
-			name:   info.name,
-			fn:     info.fn,
-			resume: make(chan resumeMsg),
-		}
+		t := &thr{m: x.m, pe: x.pe, frame: f.ID, name: info.name}
+		t.start(info.fn, pkt.Data)
 		f.State = t
 		x.m.threads = append(x.m.threads, t)
 		x.m.live++
-		x.m.wg.Add(1)
-		go t.main()
 		// Frame allocation and argument deposit.
 		x.st.Times.Switch += x.m.Cfg.SpawnCycles
 		x.m.obs.Cycle(int64(x.m.Eng.Now()), int32(x.pe), obs.PhaseSwitch, int64(x.m.Cfg.SpawnCycles))
 		x.m.obs.ThreadName(int32(x.pe), f.ID, info.name)
-		t.resumeVal = pkt.Data
 		x.m.Eng.AfterHandler(x.m.Cfg.SpawnCycles, x.hStart, sim.EventArg{Ptr: t})
 
 	case packet.KindReadReply:
@@ -238,7 +209,6 @@ func (x *exu) handle(pkt *packet.Packet) {
 			return
 		}
 		t.rw = nil
-		t.resumeVal = rw.buf[0]
 		t.resumeVals = rw.buf
 		x.resumeThread(t)
 
@@ -277,140 +247,82 @@ func (x *exu) resumeThread(t *thr) {
 	x.m.Eng.AfterHandler(x.m.Cfg.RestoreCycles, x.hRun, sim.EventArg{Ptr: t})
 }
 
-// execResume builds the resume message from the payload staged on t and
-// steps the coroutine.
+// exec resumes the coroutine with the payload staged on t and performs
+// the operation it yields next: it charges the operation's cycles and
+// schedules the one event that continues the thread, or dispatches the
+// next packet when the operation suspends or the body has returned.
 //
 //emx:hotpath
-func (x *exu) execResume(t *thr) {
-	msg := resumeMsg{val: t.resumeVal, vals: t.resumeVals}
-	t.resumeVal = 0
-	t.resumeVals = nil
-	x.exec(t, msg)
-}
-
-// exec resumes the coroutine, collects the operations it buffered plus
-// the op it yielded on, and starts the engine-side replay.
-//
-//emx:hotpath
-func (x *exu) exec(t *thr, msg resumeMsg) {
-	t.final = x.m.step(t, msg)
-	if len(t.buf) > 0 {
-		x.m.obs.Flush(int64(x.m.Eng.Now()), int32(x.pe), int64(len(t.buf)))
-	}
-	t.bufIdx = 0
-	x.apply(t)
-}
-
-// apply replays one buffered operation as one engine event — exactly the
-// event the unbuffered path would have scheduled — and chains itself
-// until the buffer drains, then performs the yielded op.
-//
-//emx:hotpath
-func (x *exu) apply(t *thr) {
+func (x *exu) exec(t *thr) {
+	t.state = stRunning
+	o, _ := t.co.next()
 	cfg := &x.m.Cfg
 	eng := x.m.Eng
-	if t.bufIdx < len(t.buf) {
-		op := &t.buf[t.bufIdx]
-		t.bufIdx++
-		switch op.kind {
-		case bufCompute:
-			if op.cycles < 0 {
-				x.m.fail(fmt.Errorf("core: %v computed negative cycles", t))
-				return
-			}
-			x.st.Times.Compute += op.cycles
-			x.m.obs.Cycle(int64(eng.Now()), int32(x.pe), obs.PhaseRun, int64(op.cycles))
-			eng.AfterHandler(op.cycles, x.hApply, sim.EventArg{Ptr: t})
-
-		case bufWrite:
-			x.st.Times.Overhead += cfg.PacketGenCycles
-			x.m.obs.Cycle(int64(eng.Now()), int32(x.pe), obs.PhaseService, int64(cfg.PacketGenCycles))
-			x.st.RemoteWrites++
-			t.pendingPkt = &packet.Packet{
-				Kind: packet.KindWrite,
-				Src:  x.pe,
-				Addr: op.addr,
-				Data: op.data,
-			}
-			eng.AfterHandler(cfg.PacketGenCycles, x.hInjectApply, sim.EventArg{Ptr: t})
-
-		case bufLocalStore:
-			done := x.p.Mem.Write(eng.Now(), memory.PortEXU, op.off, op.data)
-			x.st.Times.Compute += done - eng.Now()
-			x.m.obs.Cycle(int64(eng.Now()), int32(x.pe), obs.PhaseRun, int64(done-eng.Now()))
-			eng.AtHandler(done, x.hApply, sim.EventArg{Ptr: t})
-		}
-		return
-	}
-
-	op := t.final
-	t.final = nil
-	t.buf = t.buf[:0]
-	t.bufIdx = 0
-	x.finish(t, op)
-}
-
-// finish performs the operation the coroutine suspended on.
-//
-//emx:hotpath
-func (x *exu) finish(t *thr, op any) {
-	cfg := &x.m.Cfg
-	eng := x.m.Eng
-	switch op := op.(type) {
-	case opFlush:
-		// Buffered ops are applied; resume the coroutine at this time.
-		x.exec(t, resumeMsg{})
-
-	case opRead:
-		x.issueRead(t, op.addr, 1)
-
-	case opReadBlock:
-		if op.n <= 0 {
-			x.m.fail(fmt.Errorf("core: %v block read of %d words", t, op.n)) //emx:coldpath aborts the run
+	switch o.kind {
+	case opCompute:
+		if o.cycles < 0 {
+			x.m.fail(fmt.Errorf("core: %v computed negative cycles", t))
 			return
 		}
-		x.issueRead(t, op.addr, op.n)
+		x.st.Times.Compute += o.cycles
+		x.m.obs.Cycle(int64(eng.Now()), int32(x.pe), obs.PhaseRun, int64(o.cycles))
+		eng.AfterHandler(o.cycles, x.hResume, sim.EventArg{Ptr: t})
+
+	case opWrite:
+		x.st.RemoteWrites++
+		x.sendAndResume(t, packet.KindWrite, o.addr, o.data, 0)
 
 	case opWriteSync:
-		x.st.Times.Overhead += cfg.PacketGenCycles
-		x.m.obs.Cycle(int64(eng.Now()), int32(x.pe), obs.PhaseService, int64(cfg.PacketGenCycles))
-		t.pendingPkt = &packet.Packet{
-			Kind: packet.KindSync,
-			Src:  x.pe,
-			Addr: op.addr,
-			Data: op.data,
-		}
-		eng.AfterHandler(cfg.PacketGenCycles, x.hInjectResume, sim.EventArg{Ptr: t})
+		x.sendAndResume(t, packet.KindSync, o.addr, o.data, 0)
 
 	case opSpawn:
-		x.st.Times.Overhead += cfg.PacketGenCycles
-		x.m.obs.Cycle(int64(eng.Now()), int32(x.pe), obs.PhaseService, int64(cfg.PacketGenCycles))
 		x.st.Invokes++
-		seq := x.m.registerSpawn(op.name, op.fn)
-		t.pendingPkt = &packet.Packet{
-			Kind: packet.KindInvoke,
-			Src:  x.pe,
-			Addr: packet.GlobalAddr{PE: op.pe},
-			Data: op.arg,
-			Seq:  seq,
+		seq := x.m.registerSpawn(o.name, o.fn)
+		x.sendAndResume(t, packet.KindInvoke, o.addr, o.data, seq)
+
+	case opLocalStore:
+		done := x.p.Mem.Write(eng.Now(), memory.PortEXU, o.addr.Off, o.data)
+		x.st.Times.Compute += done - eng.Now()
+		x.m.obs.Cycle(int64(eng.Now()), int32(x.pe), obs.PhaseRun, int64(done-eng.Now()))
+		eng.AtHandler(done, x.hResume, sim.EventArg{Ptr: t})
+
+	case opLocalLoad:
+		v, done := x.p.Mem.Read(eng.Now(), memory.PortEXU, o.addr.Off)
+		x.st.Times.Compute += done - eng.Now()
+		x.m.obs.Cycle(int64(eng.Now()), int32(x.pe), obs.PhaseRun, int64(done-eng.Now()))
+		t.resumeVal = v
+		eng.AtHandler(done, x.hResume, sim.EventArg{Ptr: t})
+
+	case opRead:
+		x.issueRead(t, o.addr, o.n)
+
+	case opExit:
+		t.state = stDone
+		x.m.live--
+		t.release()
+		if t.panicked != nil {
+			x.m.fail(fmt.Errorf("core: thread %v panicked: %v", t, t.panicked))
+			return
 		}
-		eng.AfterHandler(cfg.PacketGenCycles, x.hInjectResume, sim.EventArg{Ptr: t})
+		x.m.trace(TraceEnd, t)
+		x.p.Frames.Free(t.frame)
+		x.dispatch()
 
 	case opWait:
-		x.st.Switches[op.kind]++
+		x.st.Switches[o.sw]++
 		x.st.Times.Switch += cfg.SpinCheckCycles + cfg.SaveCycles
 		// metrics.SwitchKind and obs.SwitchCause are numerically aligned.
-		x.m.obs.Switch(int64(eng.Now()), int32(x.pe), obs.SwitchCause(op.kind), t.frame)
+		x.m.obs.Switch(int64(eng.Now()), int32(x.pe), obs.SwitchCause(o.sw), t.frame)
 		x.m.obs.Cycle(int64(eng.Now()), int32(x.pe), obs.PhaseSwitch, int64(cfg.SpinCheckCycles+cfg.SaveCycles))
 		t.state = stBlocked
 		x.m.trace(TraceYield, t)
-		op.ws.waiters = append(op.ws.waiters, waiter{t: t, cond: op.cond})
+		o.ws.waiters = append(o.ws.waiters, waiter{t: t, cond: o.cond})
 		eng.AfterHandler(cfg.SpinCheckCycles+cfg.SaveCycles, x.hDispatch, sim.EventArg{})
 
 	case opYield:
-		x.st.Switches[op.kind]++
+		x.st.Switches[o.sw]++
 		x.st.Times.Switch += cfg.SpinCheckCycles + cfg.SaveCycles
-		x.m.obs.Switch(int64(eng.Now()), int32(x.pe), obs.SwitchCause(op.kind), t.frame)
+		x.m.obs.Switch(int64(eng.Now()), int32(x.pe), obs.SwitchCause(o.sw), t.frame)
 		x.m.obs.Cycle(int64(eng.Now()), int32(x.pe), obs.PhaseSwitch, int64(cfg.SpinCheckCycles+cfg.SaveCycles))
 		t.state = stQueued
 		x.m.trace(TraceYield, t)
@@ -419,29 +331,19 @@ func (x *exu) finish(t *thr, op any) {
 			Src:  x.pe,
 			Cont: packet.Continuation{PE: x.pe, Frame: t.frame},
 		}})
-
-	case opLocalLoad:
-		v, done := x.p.Mem.Read(eng.Now(), memory.PortEXU, op.off)
-		x.st.Times.Compute += done - eng.Now()
-		x.m.obs.Cycle(int64(eng.Now()), int32(x.pe), obs.PhaseRun, int64(done-eng.Now()))
-		t.resumeVal = v
-		eng.AtHandler(done, x.hResume, sim.EventArg{Ptr: t})
-
-	case opDone:
-		t.state = stDone
-		x.m.trace(TraceEnd, t)
-		x.m.live--
-		x.p.Frames.Free(t.frame)
-		x.dispatch()
-
-	case opPanic:
-		t.state = stDone
-		x.m.live--
-		x.m.fail(fmt.Errorf("core: thread %v panicked: %v", t, op.reason))
-
-	default:
-		x.m.fail(fmt.Errorf("core: %v yielded unknown op %T", t, op))
 	}
+}
+
+// sendAndResume charges packet generation for a send that does not
+// suspend the thread, then injects the packet and resumes the coroutine.
+//
+//emx:hotpath
+func (x *exu) sendAndResume(t *thr, kind packet.Kind, addr packet.GlobalAddr, data packet.Word, seq uint64) {
+	gen := x.m.Cfg.PacketGenCycles
+	x.st.Times.Overhead += gen
+	x.m.obs.Cycle(int64(x.m.Eng.Now()), int32(x.pe), obs.PhaseService, int64(gen))
+	t.pendingPkt = &packet.Packet{Kind: kind, Src: x.pe, Addr: addr, Data: data, Seq: seq}
+	x.m.Eng.AfterHandler(gen, x.hInjectResume, sim.EventArg{Ptr: t})
 }
 
 // issueRead sends a (block) read request and suspends the thread: packet

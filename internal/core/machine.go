@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync"
 
 	"emx/internal/memory"
 	"emx/internal/metrics"
@@ -26,10 +25,8 @@ type Machine struct {
 	Net   *network.Network // nil when P == 1
 	Procs []*proc.Proc
 
-	exus    []*exu
-	stats   []metrics.PE
-	yieldCh chan yieldMsg
-	wg      sync.WaitGroup
+	exus  []*exu
+	stats []metrics.PE
 
 	spawnSeq uint64
 	spawns   map[uint64]spawnInfo
@@ -41,10 +38,6 @@ type Machine struct {
 	threads  []*thr
 	failure  error
 	ran      bool
-
-	// cur is the coroutine currently executing workload code (non-nil
-	// only while the engine is blocked in step).
-	cur *thr
 
 	hDeliverLocal sim.Handler
 }
@@ -60,10 +53,9 @@ func NewMachine(cfg Config) (*Machine, error) {
 		return nil, err
 	}
 	m := &Machine{
-		Eng:     sim.NewEngine(),
-		Cfg:     cfg,
-		yieldCh: make(chan yieldMsg),
-		spawns:  make(map[uint64]spawnInfo),
+		Eng:    sim.NewEngine(),
+		Cfg:    cfg,
+		spawns: make(map[uint64]spawnInfo),
 	}
 	m.hDeliverLocal = deliverLocalH{m}
 	if cfg.P > 1 {
@@ -176,6 +168,7 @@ func (m *Machine) Run() (*metrics.Run, error) {
 		return nil, fmt.Errorf("core: machine already ran")
 	}
 	m.ran = true
+	defer m.teardown()
 	var end sim.Time
 	if m.Cfg.MaxCycles > 0 {
 		if more := m.Eng.RunUntil(m.Cfg.MaxCycles); more && m.failure == nil {
@@ -185,7 +178,6 @@ func (m *Machine) Run() (*metrics.Run, error) {
 	} else {
 		end = m.Eng.Run()
 	}
-	m.teardown()
 	if m.failure != nil {
 		return nil, m.failure
 	}
@@ -209,20 +201,15 @@ func (m *Machine) stuckThreads() []string {
 	return out
 }
 
-// teardown kills any coroutines still blocked (after a failure or
-// deadlock) so their goroutines exit.
+// teardown stops the coroutine of every thread whose body has not
+// returned, so none outlives the run. After a failure, deadlock or cycle
+// budget overrun such threads are parked in yield; stop unwinds them.
 func (m *Machine) teardown() {
-	// Once the engine has drained (or stopped), every unfinished coroutine
-	// is blocked receiving on its resume channel: yields are consumed
-	// synchronously by step(), so none can be mid-yield here. Sending the
-	// kill message unblocks each one; it panics with killSentinel and
-	// exits without touching yieldCh.
 	for _, t := range m.threads {
-		if t.state != stDone {
-			t.resume <- resumeMsg{killed: true}
+		if t.co != nil {
+			t.co.stop()
 		}
 	}
-	m.wg.Wait()
 }
 
 // collect assembles the metrics.Run from per-PE state.

@@ -27,8 +27,7 @@ const (
 	DirColdPath = "coldpath"
 	// DirDeterminism, in a package doc comment, opts the package into
 	// the determinism-critical set (detsource, maporder, and the
-	// strict simtime/flushbefore rules). Consumed by the package
-	// classifier.
+	// strict simtime rule). Consumed by the package classifier.
 	DirDeterminism = "determinism"
 	// DirNoFingerprint, on a Config field declaration, attests that the
 	// field is host-side only: excluded from Fingerprint AND proven not

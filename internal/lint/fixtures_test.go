@@ -22,8 +22,6 @@ func TestHotAlloc(t *testing.T) { linttest.Run(t, "hotalloc", lint.HotAlloc) }
 
 func TestSimTime(t *testing.T) { linttest.Run(t, "simtime", lint.SimTime) }
 
-func TestFlushBefore(t *testing.T) { linttest.Run(t, "flushbefore", lint.FlushBefore) }
-
 func TestDirective(t *testing.T) { linttest.Run(t, "directive", lint.EmxDirective) }
 
 func TestFingerprintPurity(t *testing.T) { linttest.Run(t, "fingerprint", lint.FingerprintPurity) }

@@ -21,9 +21,6 @@
 //   - simtime: no negative or host-derived values flowing into the
 //     simulated clock (sim.After and friends), and no arithmetic that
 //     mixes host time with simulated cycle counts
-//   - flushbefore: coroutine-side code must flush the thread's
-//     operation buffer before observing engine or machine state, so
-//     observations happen at true simulated time
 //   - emxdirective: every //emx: directive is well-formed, known, and
 //     not a silently-shadowed duplicate
 //
@@ -176,7 +173,6 @@ func Analyzers() []*Analyzer {
 		MapOrder,
 		HotAlloc,
 		SimTime,
-		FlushBefore,
 		EmxDirective,
 		FingerprintPurity,
 		ObsPurity,
