@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 
+	"emx/internal/cluster"
 	"emx/internal/labd/service"
 )
 
@@ -156,15 +158,21 @@ func TestRemoteMultiNode(t *testing.T) {
 	dead := httptest.NewServer(nil)
 	dead.Close()
 
-	// Enough panels that rendezvous hashing spreads them over both live
-	// nodes, chosen among the cheap-at-minimum-grid ones.
+	// Panels chosen among the cheap-at-minimum-grid ones. Their owners
+	// depend on the random httptest ports, so pick a seed under which
+	// rendezvous hashing gives each live node at least one panel that
+	// runs through its scheduler ("model" runs its kernel directly, so
+	// owning it starts nothing).
+	figs := []string{"6a", "6c", "7a", "7c", "model"}
+	live := []string{ts1.URL, ts2.URL}
 	nodes := ts1.URL + "," + ts2.URL + "," + dead.URL
-	for _, fig := range []string{"6a", "6c", "7a", "7c", "model"} {
-		code, local, stderr := runCLI(t, "-fig", fig, "-scale", hugeScale, "-format", "csv")
+	seed := shardingSeed(t, strings.Split(nodes, ","), live, figs[:4])
+	for _, fig := range figs {
+		code, local, stderr := runCLI(t, "-fig", fig, "-scale", hugeScale, "-seed", seed, "-format", "csv")
 		if code != 0 {
 			t.Fatalf("local %s exit %d:\n%s", fig, code, stderr)
 		}
-		code, remote, stderr := runCLI(t, "-fig", fig, "-scale", hugeScale, "-format", "csv", "-remote", nodes)
+		code, remote, stderr := runCLI(t, "-fig", fig, "-scale", hugeScale, "-seed", seed, "-format", "csv", "-remote", nodes)
 		if code != 0 {
 			t.Fatalf("multi-node %s exit %d:\n%s", fig, code, stderr)
 		}
@@ -176,6 +184,38 @@ func TestRemoteMultiNode(t *testing.T) {
 	if s1 == 0 || s2 == 0 {
 		t.Fatalf("panels did not shard across nodes: started %d/%d", s1, s2)
 	}
+}
+
+// shardingSeed returns the smallest seed under which every live node is
+// the first live member of some figure's rendezvous ranking — the node
+// the cluster client routes that figure to.
+func shardingSeed(t *testing.T, urls, live, figs []string) string {
+	t.Helper()
+	scale, err := strconv.Atoi(hugeScale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	isLive := map[string]bool{}
+	for _, u := range live {
+		isLive[u] = true
+	}
+	r := cluster.NewRing(urls)
+	for seed := int64(1); seed <= 1000; seed++ {
+		owners := map[string]bool{}
+		for _, fig := range figs {
+			for _, u := range r.Ranked(cluster.FigureKey(fig, scale, seed)) {
+				if isLive[u] {
+					owners[u] = true
+					break
+				}
+			}
+		}
+		if len(owners) == len(live) {
+			return strconv.FormatInt(seed, 10)
+		}
+	}
+	t.Fatalf("no seed in 1..1000 shards %d figures over %d live nodes", len(figs), len(live))
+	return ""
 }
 
 func TestRemoteUnreachable(t *testing.T) {

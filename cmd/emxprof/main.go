@@ -2,7 +2,8 @@
 // EM-X: it runs a workload with the obs tracer attached and renders
 // where every processor's cycles went — run, switch, spill, service,
 // idle — with switch counts decomposed by cause, the same accounting
-// behind the paper's Figures 8-11.
+// behind the paper's Figures 8-11. In point mode it also draws the
+// per-thread timelines of the paper's Figures 4 and 5.
 //
 // Profiling is observation-only: a profiled run is cycle-identical to an
 // unprofiled one, and every output is byte-identical across -workers
@@ -11,6 +12,8 @@
 // Usage:
 //
 //	emxprof -workload bitonic -p 2 -n 8 -h 2 -seed 7   # one point, text report
+//	emxprof -format gantt                               # Figure 4 thread timelines
+//	emxprof -workload fft -p 4 -n 16 -format gantt      # Figure 5 structure
 //	emxprof -fig 6a -workers 8                          # a whole panel, merged
 //	emxprof -fig 6a -format perfetto -o 6a.trace.json   # open in ui.perfetto.dev
 //	emxprof -workload fft -p 16 -n 4096 -h 8 -format json -o fft.prof
@@ -47,7 +50,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fig      = fs.String("fig", "", "profile a whole figure panel instead of one point (see emxbench)")
 		scale    = fs.Int("scale", harness.DefaultScale, "panel mode: divide the paper's problem sizes by this factor")
 		workers  = fs.Int("workers", 0, "panel mode: parallel simulations (0 = GOMAXPROCS)")
-		format   = fs.String("format", "report", "output: report, json, or perfetto")
+		format   = fs.String("format", "report", "output: report, json, perfetto, or gantt (point mode: Figure 4/5 thread timelines)")
 		out      = fs.String("o", "", "write output to this file (default stdout)")
 		slice    = fs.Int64("slice", 0, "add whole-machine time slices of this many cycles to the profile")
 		capacity = fs.Int("capacity", 0, "per-point event ring capacity (0 = default)")
@@ -82,9 +85,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	*format = strings.ToLower(*format)
 	switch *format {
-	case "report", "json", "perfetto":
+	case "report", "json", "perfetto", "gantt":
 	default:
-		fmt.Fprintf(stderr, "emxprof: unknown format %q (want report, json, or perfetto)\n", *format)
+		fmt.Fprintf(stderr, "emxprof: unknown format %q (want report, json, perfetto, or gantt)\n", *format)
+		return 2
+	}
+	if *format == "gantt" && *fig != "" {
+		fmt.Fprintln(stderr, "emxprof: -format gantt draws one point's threads; it cannot be combined with -fig")
 		return 2
 	}
 	if *slice < 0 {
@@ -92,6 +99,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	opts := harness.ObsOptions{Capacity: *capacity, SliceCycles: *slice}
+	if *format == "gantt" {
+		// The timelines need only lifecycle events, so -capacity sizes a
+		// thread-only ring.
+		opts.Retain = obs.MaskOf(obs.CatThread)
+	}
 
 	if *fig != "" {
 		return runPanel(*fig, *scale, *seed, *workers, opts, *format, dst, stderr)
@@ -126,7 +138,25 @@ func runPoint(workload string, p, n, h int, seed int64, mode string, opts harnes
 		fmt.Fprintln(stderr, "emxprof:", err)
 		return 1
 	}
+	if format == "gantt" {
+		return renderGantt(pc.Points()[0], w, p, n, h, dst, stderr)
+	}
 	return render(pc, format, dst, stderr)
+}
+
+// renderGantt draws one point's thread timelines, warning when the ring
+// overwrote lifecycle events and the picture is therefore truncated.
+func renderGantt(pt *harness.ProfiledPoint, w harness.Workload, p, n, h int, dst io.Writer, stderr io.Writer) int {
+	fmt.Fprintf(dst, "%s: P=%d, n=%d, h=%d — thread timelines (cf. paper Figures 4/5)\n\n", w, p, n, h)
+	err := obs.WriteGantt(dst, pt.Events, pt.Names)
+	if d := pt.Profile.Dropped[obs.CatThread]; d > 0 && err == nil {
+		_, err = fmt.Fprintf(dst, "dropped=%d thread events: the ring overwrote the oldest, so early bands and counts are missing (raise -capacity)\n", d)
+	}
+	if err != nil {
+		fmt.Fprintln(stderr, "emxprof:", err)
+		return 1
+	}
+	return 0
 }
 
 // runPanel profiles every point of one emxbench figure panel and merges

@@ -1,7 +1,7 @@
 // Sortviz reproduces the paper's Figure 4: multithreaded bitonic sorting
 // of 8 elements on two processors with two threads each, rendered as
-// per-thread timelines (running / suspended bands) plus the resulting
-// sorted sequence.
+// per-thread timelines (running / suspended bands) from the observed
+// run's lifecycle events.
 //
 //	go run ./examples/sortviz
 package main
@@ -9,10 +9,12 @@ package main
 import (
 	"fmt"
 	"log"
+	"os"
 
 	"emx/internal/apps/bitonic"
 	"emx/internal/core"
-	"emx/internal/trace"
+	"emx/internal/harness"
+	"emx/internal/obs"
 )
 
 func main() {
@@ -21,14 +23,15 @@ func main() {
 	fmt.Println("thread 1 the second half; merging must follow thread order.")
 	fmt.Println()
 
-	cfg := core.DefaultConfig(2)
-	rec := &trace.Recorder{}
-	if err := bitonic.RunTraced(cfg, bitonic.Params{N: 8, H: 2, Seed: 42}, rec.Record); err != nil {
+	pc := harness.NewProfileCollector(harness.ObsOptions{Retain: obs.MaskOf(obs.CatThread)})
+	ps := harness.PointSpec{Workload: harness.Bitonic, P: 2, SimN: 8, H: 2, Seed: 42, Verify: true}
+	if _, err := pc.RunPointObserved(ps, 0); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Print(rec.Gantt(96))
-	fmt.Println()
-	fmt.Print(rec.Summary())
+	pt := pc.Points()[0]
+	if err := obs.WriteGantt(os.Stdout, pt.Events, pt.Names); err != nil {
+		log.Fatal(err)
+	}
 	fmt.Println()
 
 	// A larger run with the irregularity visible: count how many reads

@@ -79,7 +79,7 @@ type startH struct{ x *exu }
 
 func (h startH) OnEvent(arg sim.EventArg) {
 	t := arg.Ptr.(*thr)
-	h.x.m.trace(TraceStart, t)
+	h.x.m.obs.Thread(int64(h.x.m.Eng.Now()), int32(t.pe), obs.ThreadStart, t.frame)
 	h.x.exec(t)
 }
 
@@ -88,7 +88,7 @@ type runH struct{ x *exu }
 
 func (h runH) OnEvent(arg sim.EventArg) {
 	t := arg.Ptr.(*thr)
-	h.x.m.trace(TraceRun, t)
+	h.x.m.obs.Thread(int64(h.x.m.Eng.Now()), int32(t.pe), obs.ThreadRun, t.frame)
 	h.x.exec(t)
 }
 
@@ -304,7 +304,7 @@ func (x *exu) exec(t *thr) {
 			x.m.fail(fmt.Errorf("core: thread %v panicked: %v", t, t.panicked))
 			return
 		}
-		x.m.trace(TraceEnd, t)
+		x.m.obs.Thread(int64(x.m.Eng.Now()), int32(t.pe), obs.ThreadEnd, t.frame)
 		x.p.Frames.Free(t.frame)
 		x.dispatch()
 
@@ -315,7 +315,7 @@ func (x *exu) exec(t *thr) {
 		x.m.obs.Switch(int64(eng.Now()), int32(x.pe), obs.SwitchCause(o.sw), t.frame)
 		x.m.obs.Cycle(int64(eng.Now()), int32(x.pe), obs.PhaseSwitch, int64(cfg.SpinCheckCycles+cfg.SaveCycles))
 		t.state = stBlocked
-		x.m.trace(TraceYield, t)
+		x.m.obs.Thread(int64(x.m.Eng.Now()), int32(t.pe), obs.ThreadYield, t.frame)
 		o.ws.waiters = append(o.ws.waiters, waiter{t: t, cond: o.cond})
 		eng.AfterHandler(cfg.SpinCheckCycles+cfg.SaveCycles, x.hDispatch, sim.EventArg{})
 
@@ -325,7 +325,7 @@ func (x *exu) exec(t *thr) {
 		x.m.obs.Switch(int64(eng.Now()), int32(x.pe), obs.SwitchCause(o.sw), t.frame)
 		x.m.obs.Cycle(int64(eng.Now()), int32(x.pe), obs.PhaseSwitch, int64(cfg.SpinCheckCycles+cfg.SaveCycles))
 		t.state = stQueued
-		x.m.trace(TraceYield, t)
+		x.m.obs.Thread(int64(x.m.Eng.Now()), int32(t.pe), obs.ThreadYield, t.frame)
 		eng.AfterHandler(cfg.SpinCheckCycles+cfg.SaveCycles, x.hPushDispatch, sim.EventArg{Ptr: &packet.Packet{
 			Kind: packet.KindResume,
 			Src:  x.pe,
@@ -361,7 +361,7 @@ func (x *exu) issueRead(t *thr, addr packet.GlobalAddr, n int) {
 	x.m.obs.Switch(int64(x.m.Eng.Now()), int32(x.pe), obs.CauseRemoteRead, t.frame)
 	t.rw = &readWait{base: addr.Off, buf: make([]packet.Word, n), remaining: n}
 	t.state = stSuspendedRead
-	x.m.trace(TraceReadIssue, t)
+	x.m.obs.Thread(int64(x.m.Eng.Now()), int32(t.pe), obs.ThreadRead, t.frame)
 	kind := packet.KindReadReq
 	var block uint32
 	if n > 1 {

@@ -32,7 +32,6 @@ type Machine struct {
 	spawns   map[uint64]spawnInfo
 
 	barriers []*Barrier
-	tracer   func(TraceEvent)
 	obs      *obs.Tracer
 	live     int // threads created and not yet finished
 	threads  []*thr

@@ -1,8 +1,8 @@
 // Package obs is the cycle-accounting observability layer of the
 // simulator and serving stack: bounded event collection, a phase-level
 // cycle-accounting profile model, and deterministic exporters (a
-// Perfetto/Chrome trace-event writer, a sorted text report, and a
-// profile diff).
+// Perfetto/Chrome trace-event writer, a sorted text report, a profile
+// diff, and the Figure 4/5 per-thread Gantt).
 //
 // The package sits below every other emx package — it imports nothing
 // from the repository — so the simulation engine, the EXU model, the
@@ -112,7 +112,7 @@ func (c SwitchCause) String() string {
 	return "cause(?)"
 }
 
-// ThreadKind is a thread lifecycle transition, mirroring core.TraceKind.
+// ThreadKind is a thread lifecycle transition.
 type ThreadKind uint8
 
 const (

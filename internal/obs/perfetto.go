@@ -3,7 +3,6 @@ package obs
 import (
 	"bufio"
 	"io"
-	"sort"
 	"strconv"
 )
 
@@ -137,13 +136,6 @@ func (tw *TraceWriter) Counter(pid int64, name string, ts int64, keys []string, 
 // out, so it never collides with a real thread track.
 const unitTID = int64(1) << 20
 
-// openRun is a run interval under reconstruction for one (PE, frame).
-type openRun struct {
-	pe    int32
-	frame uint32
-	since int64
-}
-
 // AppendTrace renders one run's retained events and profile onto tw.
 // Each PE becomes a process (pid = pidBase+pe) labelled with label;
 // thread run intervals are reconstructed from lifecycle events, context
@@ -161,31 +153,17 @@ func AppendTrace(tw *TraceWriter, pidBase int64, label string, prof *Profile, ev
 		tw.Meta(pidBase+int64(n.PE), int64(n.Frame), "thread_name", n.Name)
 	}
 
-	// Reconstruct run intervals: start/run opens a slice on the thread's
-	// track, read/yield/end closes it. A close with no matching open
-	// (its opener was evicted from the ring) is dropped; opens still
-	// live at the end are closed at the makespan.
-	open := make(map[int64]openRun)
-	runKey := func(pe int32, frame uint32) int64 {
-		return int64(pe)<<32 | int64(frame)
-	}
-	closeRun := func(pe int32, frame uint32, at int64) {
-		k := runKey(pe, frame)
-		if o, ok := open[k]; ok {
-			tw.Slice(pidBase+int64(pe), int64(frame), "run", o.since, at-o.since)
-			delete(open, k)
-		}
-	}
+	// Run intervals become slices on the thread's track. A close with no
+	// matching open (its opener was evicted from the ring) is dropped;
+	// opens still live at the end are closed at the makespan.
+	runs := runTracker{}
 	for _, ev := range events {
 		pid := pidBase + int64(ev.PE)
 		switch ev.Cat {
 		case CatThread:
 			kind, frame := ThreadKind(ev.Code), uint32(ev.A)
-			switch kind {
-			case ThreadStart, ThreadRun:
-				open[runKey(ev.PE, frame)] = openRun{pe: ev.PE, frame: frame, since: ev.At}
-			case ThreadRead, ThreadYield, ThreadEnd:
-				closeRun(ev.PE, frame, ev.At)
+			if since, ran, _ := runs.step(ev); ran {
+				tw.Slice(pid, int64(frame), "run", since, ev.At-since)
 			}
 			if kind == ThreadStart || kind == ThreadEnd {
 				tw.Instant(pid, int64(frame), "thread-"+kind.String(), ev.At)
@@ -206,19 +184,7 @@ func AppendTrace(tw *TraceWriter, pidBase int64, label string, prof *Profile, ev
 			tw.Slice(pid, unitTID, "charge:"+Phase(ev.Code).String(), ev.At, ev.A)
 		}
 	}
-	// Flush still-open intervals in deterministic (PE, frame) order —
-	// map iteration order must never reach the output.
-	var left []openRun
-	for _, o := range open {
-		left = append(left, o)
-	}
-	sort.Slice(left, func(i, j int) bool {
-		if left[i].pe != left[j].pe {
-			return left[i].pe < left[j].pe
-		}
-		return left[i].frame < left[j].frame
-	})
-	for _, o := range left {
+	for _, o := range runs.left() {
 		tw.Slice(pidBase+int64(o.pe), int64(o.frame), "run", o.since, prof.Makespan-o.since)
 	}
 
