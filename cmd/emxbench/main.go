@@ -78,16 +78,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("emxbench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		fig       = fs.String("fig", "all", "panel to regenerate, or 'all'")
-		scale     = fs.Int("scale", harness.DefaultScale, "divide the paper's problem sizes by this factor")
-		format    = fs.String("format", "table", "output: table, csv, chart, or json")
-		workers   = fs.Int("workers", 0, "parallel simulations (0 = GOMAXPROCS)")
-		seed      = fs.Int64("seed", 1, "input generator seed")
-		remote    = fs.String("remote", "", "comma-separated base URLs of running emxd nodes or an emxcluster gateway (empty: run in-process)")
-		cpuprof   = fs.String("cpuprofile", "", "write a CPU profile to this file")
-		memprof   = fs.String("memprofile", "", "write a heap profile to this file on exit")
-		profile   = fs.String("profile", "", "write a merged emxprof cycle-accounting profile (JSON) to this file")
-		tracefile = fs.String("tracefile", "", "write a Perfetto trace of every simulated point to this file")
+		fig     = fs.String("fig", "all", "panel to regenerate, or 'all'")
+		scale   = fs.Int("scale", harness.DefaultScale, "divide the paper's problem sizes by this factor")
+		format  = fs.String("format", "table", "output: table, csv, chart, or json")
+		workers = fs.Int("workers", 0, "parallel simulations (0 = GOMAXPROCS)")
+		seed    = fs.Int64("seed", 1, "input generator seed")
+		remote  = fs.String("remote", "", "comma-separated base URLs of running emxd nodes or an emxcluster gateway (empty: run in-process)")
+		cpuprof = fs.String("cpuprofile", "", "write a CPU profile to this file")
+		memprof = fs.String("memprofile", "", "write a heap profile to this file on exit")
 	)
 	fs.Usage = func() {
 		fmt.Fprintln(stderr, "usage: emxbench [flags]")
@@ -153,17 +151,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	defer writeMemProfile(*memprof, stderr)
 
-	// observe is non-nil when any emxprof output was requested; it makes
-	// the run cache-less so every point executes and yields a profile.
-	var observe *harness.ProfileCollector
-	if *profile != "" || *tracefile != "" {
-		if *remote != "" {
-			fmt.Fprintln(stderr, "emxbench: -profile/-tracefile require an in-process run (use emxd's /v1/profile against -remote)")
-			return 2
-		}
-		observe = harness.NewProfileCollector(harness.ObsOptions{})
-	}
-
 	// sched is non-nil only for in-process runs; it supplies the host
 	// throughput counters for the JSON snapshot.
 	var (
@@ -173,7 +160,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *remote != "" {
 		panel = remotePanels(*remote, *scale, *seed)
 	} else {
-		sched, panel = localPanels(*scale, *seed, *workers, observe, stderr)
+		sched, panel = localPanels(*scale, *seed, *workers, stderr)
 		defer sched.Close()
 	}
 
@@ -214,48 +201,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 1
 		}
 	}
-	if observe != nil {
-		if err := writeProfiles(observe, *profile, *tracefile, stderr); err != nil {
-			fmt.Fprintln(stderr, "emxbench:", err)
-			return 1
-		}
-	}
 	return 0
-}
-
-// writeProfiles emits the collected emxprof artifacts and a greppable
-// summary line (CI asserts dropped=0 on it).
-func writeProfiles(pc *harness.ProfileCollector, profilePath, tracePath string, stderr io.Writer) error {
-	merged, err := pc.Merged()
-	if err != nil {
-		return err
-	}
-	if profilePath != "" {
-		if err := writeTo(profilePath, merged.WriteJSON); err != nil {
-			return err
-		}
-	}
-	if tracePath != "" {
-		if err := writeTo(tracePath, pc.WriteTrace); err != nil {
-			return err
-		}
-	}
-	fmt.Fprintf(stderr, "emxbench: profile: points=%d recorded=%d retained=%d dropped=%d\n",
-		merged.Points, merged.Recorded, merged.Retained, merged.TotalDropped())
-	return nil
-}
-
-// writeTo streams one artifact into path, creating or truncating it.
-func writeTo(path string, emit func(io.Writer) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := emit(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 // hostStats derives the snapshot's host block from the scheduler's
@@ -297,15 +243,11 @@ func writeMemProfile(path string, stderr io.Writer) {
 // localPanels builds panels in-process through a transient labd
 // scheduler, exactly the execution path emxd serves. The caller owns
 // the scheduler and must Close it.
-func localPanels(scale int, seed int64, workers int, observe *harness.ProfileCollector, stderr io.Writer) (*labd.Scheduler, func(string) ([]harness.Figure, error)) {
-	// A cache hit skips point execution, and a skipped point yields no
-	// profile — so observed runs disable the cache (coalescing still
-	// dedupes concurrent duplicates, which do share one observation).
-	sched := labd.New(labd.Options{Workers: workers, NoCache: observe != nil})
+func localPanels(scale int, seed int64, workers int, stderr io.Writer) (*labd.Scheduler, func(string) ([]harness.Figure, error)) {
+	sched := labd.New(labd.Options{Workers: workers})
 	pr := harness.NewPanelRunner(harness.PanelOptions{
-		Scale:   scale,
-		Seed:    seed,
-		Observe: observe,
+		Scale: scale,
+		Seed:  seed,
 		Logf: func(format string, args ...any) {
 			fmt.Fprintf(stderr, "emxbench: "+format+"\n", args...)
 		},

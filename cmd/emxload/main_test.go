@@ -113,3 +113,40 @@ func TestRunTextReport(t *testing.T) {
 		}
 	}
 }
+
+// TestRunRetriesFlag pins -retries: a negative value is a usage error,
+// and 0 means no retries at all (the client's own zero value would mean
+// its default of two), so a request whose owner was killed fails
+// instead of failing over.
+func TestRunRetriesFlag(t *testing.T) {
+	var out, errb bytes.Buffer
+	if code := run([]string{"-retries", "-7"}, &out, &errb); code != 2 {
+		t.Errorf("-retries -7 exited %d, want 2: %s", code, errb.String())
+	}
+
+	out.Reset()
+	errb.Reset()
+	run([]string{
+		"-seed", "42", "-requests", "8", "-clients", "1", "-local", "3",
+		"-chaos", "kill:1@0", "-retries", "0", "-quiet", "-format", "json",
+	}, &out, &errb)
+	var rep struct {
+		Traffic struct {
+			Issued uint64 `json:"issued"`
+		} `json:"traffic"`
+		Host struct {
+			Client struct {
+				Attempts  uint64 `json:"attempts"`
+				Retries   uint64 `json:"retries"`
+				Failovers uint64 `json:"failovers"`
+			} `json:"client"`
+		} `json:"host"`
+	}
+	if err := json.Unmarshal(out.Bytes(), &rep); err != nil {
+		t.Fatalf("report is not JSON: %v (stderr: %s)", err, errb.String())
+	}
+	if c := rep.Host.Client; c.Retries != 0 || c.Failovers != 0 || c.Attempts != rep.Traffic.Issued {
+		t.Errorf("-retries 0: client %+v for %d requests, want one attempt each and no retries",
+			c, rep.Traffic.Issued)
+	}
+}

@@ -14,7 +14,7 @@
 //	emxprof -workload bitonic -p 2 -n 8 -h 2 -seed 7   # one point, text report
 //	emxprof -format gantt                               # Figure 4 thread timelines
 //	emxprof -workload fft -p 4 -n 16 -format gantt      # Figure 5 structure
-//	emxprof -fig 6a -workers 8                          # a whole panel, merged
+//	emxprof -fig 6a -workers 8                          # a whole panel, merged (seed 1)
 //	emxprof -fig 6a -format perfetto -o 6a.trace.json   # open in ui.perfetto.dev
 //	emxprof -workload fft -p 16 -n 4096 -h 8 -format json -o fft.prof
 //	emxprof -diff a.prof b.prof                         # compare two profiles
@@ -45,7 +45,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		p        = fs.Int("p", 2, "number of processors")
 		n        = fs.Int("n", 8, "problem size (simulated elements)")
 		h        = fs.Int("h", 2, "threads per PE")
-		seed     = fs.Int64("seed", 7, "input seed")
+		seed     = fs.Int64("seed", 7, "input seed (panel mode: default 1, emxbench's panel seed)")
 		mode     = fs.String("mode", "bypass", "packet service mode: bypass (EM-X) or exu (EM-4)")
 		fig      = fs.String("fig", "", "profile a whole figure panel instead of one point (see emxbench)")
 		scale    = fs.Int("scale", harness.DefaultScale, "panel mode: divide the paper's problem sizes by this factor")
@@ -106,7 +106,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if *fig != "" {
-		return runPanel(*fig, *scale, *seed, *workers, opts, *format, dst, stderr)
+		// Profile the same sweep emxbench -fig draws: its panels use seed
+		// 1, while point mode keeps 7 (the Figure 4 example's input).
+		panelSeed := int64(1)
+		fs.Visit(func(f *flag.Flag) {
+			if f.Name == "seed" {
+				panelSeed = *seed
+			}
+		})
+		return runPanel(*fig, *scale, panelSeed, *workers, opts, *format, dst, stderr)
 	}
 	return runPoint(*workload, *p, *n, *h, *seed, *mode, opts, *format, dst, stderr)
 }

@@ -272,3 +272,24 @@ func TestReportWorkerInvariantPanel(t *testing.T) {
 		t.Errorf("panel report should record zero drops:\n%s", one)
 	}
 }
+
+// TestPanelSeedDefault: panel mode profiles the sweep emxbench -fig
+// draws, which uses seed 1, not point mode's default of 7.
+func TestPanelSeedDefault(t *testing.T) {
+	panel := func(extra ...string) string {
+		t.Helper()
+		args := append([]string{"-fig", "6a", "-scale", "1048576", "-format", "json"}, extra...)
+		code, out, errOut := runCLI(t, args...)
+		if code != 0 {
+			t.Fatalf("%v: exit %d: %s", args, code, errOut)
+		}
+		return out
+	}
+	def := panel()
+	if def != panel("-seed", "1") {
+		t.Error("-fig 6a profile differs from -fig 6a -seed 1")
+	}
+	if def == panel("-seed", "7") {
+		t.Error("-fig 6a profile equals -fig 6a -seed 7: the panel default is point mode's seed")
+	}
+}

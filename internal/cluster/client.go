@@ -18,8 +18,8 @@ import (
 )
 
 // ClientOptions tunes the failover policy. The zero value is usable:
-// no per-attempt timeout, two retries, 100ms base backoff, hedging
-// disabled, no local fallback.
+// no per-attempt timeout, two retries, 100ms base backoff, no local
+// fallback.
 type ClientOptions struct {
 	// AttemptTimeout bounds one request attempt (0: no timeout — figure
 	// sweeps at large scale legitimately run for minutes).
@@ -39,14 +39,6 @@ type ClientOptions struct {
 	// MaxRetryWait caps any single inter-attempt wait, including waits
 	// requested by a node's Retry-After backpressure header (default 2s).
 	MaxRetryWait time.Duration
-	// HedgeDelay, when positive, launches a second request to the
-	// next-ranked node if the owner has not answered within it. 0
-	// disables time-based hedging.
-	HedgeDelay time.Duration
-	// HedgeQueueFraction hedges immediately (no delay) when the owner's
-	// last probed queue fullness is at or above it (default 0.9; only
-	// effective when HedgeDelay > 0).
-	HedgeQueueFraction float64
 	// Local, when set, serves requests in-process (an emxd
 	// service.Server handler) after every remote candidate has failed —
 	// graceful degradation to local execution. Results are byte-identical
@@ -75,21 +67,18 @@ type Result struct {
 }
 
 // Client routes requests across a membership's nodes by rendezvous
-// hashing with bounded retries, hedging, and failover. Safe for
-// concurrent use.
+// hashing with bounded retries and failover, one attempt at a time.
+// Safe for concurrent use.
 type Client struct {
 	members *Membership
 	opts    ClientOptions
 	http    *http.Client
 
-	attempts    *metrics.Counter
-	retries     *metrics.Counter
-	failovers   *metrics.Counter
-	hedges      *metrics.Counter
-	hedgeWins   *metrics.Counter
-	hedgeLosses *metrics.Counter
-	localRuns   *metrics.Counter
-	nodeErrs    func(node string) *metrics.Counter
+	attempts  *metrics.Counter
+	retries   *metrics.Counter
+	failovers *metrics.Counter
+	localRuns *metrics.Counter
+	nodeErrs  func(node string) *metrics.Counter
 }
 
 // Stats is a point-in-time snapshot of the client's per-attempt outcome
@@ -98,17 +87,13 @@ type Client struct {
 // expose via the Registry for /metrics).
 type Stats struct {
 	// Attempts counts every request issued to a member node, including
-	// retries and hedges.
+	// retries.
 	Attempts uint64
 	// Retries counts attempts beyond the first for a request.
 	Retries uint64
 	// Failovers counts requests answered by a node other than the ring
 	// owner (including local-fallback rescues).
 	Failovers uint64
-	// Hedges counts hedged second attempts launched against slow owners;
-	// HedgeWins those answered before the owner, HedgeLosses those the
-	// owner beat anyway.
-	Hedges, HedgeWins, HedgeLosses uint64
 	// LocalFallbacks counts requests served by in-process execution
 	// after every remote candidate failed.
 	LocalFallbacks uint64
@@ -120,9 +105,6 @@ func (c *Client) Stats() Stats {
 		Attempts:       c.attempts.Value(),
 		Retries:        c.retries.Value(),
 		Failovers:      c.failovers.Value(),
-		Hedges:         c.hedges.Value(),
-		HedgeWins:      c.hedgeWins.Value(),
-		HedgeLosses:    c.hedgeLosses.Value(),
 		LocalFallbacks: c.localRuns.Value(),
 	}
 }
@@ -133,9 +115,6 @@ func (s Stats) Sub(o Stats) Stats {
 		Attempts:       s.Attempts - o.Attempts,
 		Retries:        s.Retries - o.Retries,
 		Failovers:      s.Failovers - o.Failovers,
-		Hedges:         s.Hedges - o.Hedges,
-		HedgeWins:      s.HedgeWins - o.HedgeWins,
-		HedgeLosses:    s.HedgeLosses - o.HedgeLosses,
 		LocalFallbacks: s.LocalFallbacks - o.LocalFallbacks,
 	}
 }
@@ -154,9 +133,6 @@ func NewClient(m *Membership, opts ClientOptions) *Client {
 	if opts.MaxRetryWait <= 0 {
 		opts.MaxRetryWait = 2 * time.Second
 	}
-	if opts.HedgeQueueFraction <= 0 {
-		opts.HedgeQueueFraction = 0.9
-	}
 	hc := opts.HTTPClient
 	if hc == nil {
 		hc = &http.Client{}
@@ -166,16 +142,13 @@ func NewClient(m *Membership, opts ClientOptions) *Client {
 		reg = metrics.NewRegistry()
 	}
 	return &Client{
-		members:     m,
-		opts:        opts,
-		http:        hc,
-		attempts:    reg.Counter("emxcluster_attempts_total", "request attempts issued to member nodes"),
-		retries:     reg.Counter("emxcluster_retries_total", "attempts beyond the first for a request"),
-		failovers:   reg.Counter("emxcluster_failovers_total", "requests answered by a node other than the ring owner"),
-		hedges:      reg.Counter("emxcluster_hedges_total", "hedged second attempts launched against slow owners"),
-		hedgeWins:   reg.Counter("emxcluster_hedge_wins_total", "hedged attempts that answered before the owner"),
-		hedgeLosses: reg.Counter("emxcluster_hedge_losses_total", "hedged attempts the owner answered ahead of"),
-		localRuns:   reg.Counter("emxcluster_local_fallback_total", "requests served by local in-process execution"),
+		members:   m,
+		opts:      opts,
+		http:      hc,
+		attempts:  reg.Counter("emxcluster_attempts_total", "request attempts issued to member nodes"),
+		retries:   reg.Counter("emxcluster_retries_total", "attempts beyond the first for a request"),
+		failovers: reg.Counter("emxcluster_failovers_total", "requests answered by a node other than the ring owner"),
+		localRuns: reg.Counter("emxcluster_local_fallback_total", "requests served by local in-process execution"),
 		nodeErrs: func(node string) *metrics.Counter {
 			return reg.Labeled("emxcluster_node_errors_total",
 				"failed attempts by member node", "node", node)
@@ -198,9 +171,11 @@ func (e errPermanent) Error() string {
 // Do routes one POST to the cluster: the ring owner of key first, then
 // — across bounded retries with jittered exponential backoff — each
 // next-ranked healthy node, then any node at all, then the local
-// fallback. A slow owner is hedged with a concurrent second attempt.
-// 503 responses (queue backpressure) wait out the node's Retry-After
-// hint (capped) before the next candidate; 4xx responses return as-is.
+// fallback. One attempt is in flight at a time: a slow owner is waited
+// for, not raced, since a second node would rerun the whole simulation
+// without the owner's cached result. 503 responses (queue backpressure)
+// wait out the node's Retry-After hint (capped) before the next
+// candidate; 4xx responses return as-is.
 func (c *Client) Do(key, path string, body []byte) (*Result, error) {
 	return c.DoDeadline(key, path, body, time.Time{})
 }
@@ -240,16 +215,7 @@ func (c *Client) DoDeadline(key, path string, body []byte, deadline time.Time) (
 		if len(candidates) == 0 {
 			break
 		}
-		node := candidates[i%len(candidates)]
-		var (
-			res *Result
-			err error
-		)
-		if i == 0 && c.opts.HedgeDelay > 0 && len(candidates) > 1 {
-			res, err = c.hedged(key, path, body, candidates[0], candidates[1], deadline)
-		} else {
-			res, err = c.attempt(node, path, body, deadline)
-		}
+		res, err := c.attempt(candidates[i%len(candidates)], path, body, deadline)
 		if err == nil {
 			if res.Node != owner {
 				c.failovers.Inc()
@@ -334,88 +300,13 @@ func (e errBusy) Error() string {
 	return fmt.Sprintf("node %s: busy (Retry-After %s)", e.node, e.retryAfter)
 }
 
-// hedged races the owner against the next-ranked node: the backup
-// launches after HedgeDelay — or immediately when the owner's probed
-// queue is nearly full — and the first success wins. The loser's
-// attempt is cancelled via its context.
-func (c *Client) hedged(key, path string, body []byte, owner, backup string, deadline time.Time) (*Result, error) {
-	delay := c.opts.HedgeDelay
-	if full, _, ok := c.members.Load(owner); ok && full >= c.opts.HedgeQueueFraction {
-		delay = 0
-	}
-
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	type outcome struct {
-		res    *Result
-		err    error
-		backup bool
-	}
-	results := make(chan outcome, 2)
-	try := func(node string, isBackup bool) {
-		res, err := c.attemptDeadline(ctx, node, path, body, deadline)
-		results <- outcome{res, err, isBackup}
-	}
-	go try(owner, false)
-
-	timer := time.NewTimer(delay) //emx:hostclock hedge trigger against a slow owner
-	defer timer.Stop()
-	launched := false
-	pending := 1
-	var firstErr error
-	for {
-		select {
-		case <-timer.C:
-			if !launched {
-				launched = true
-				pending++
-				c.hedges.Inc()
-				go try(backup, true)
-			}
-		case out := <-results:
-			pending--
-			if out.err == nil {
-				if launched {
-					if out.backup {
-						c.hedgeWins.Inc()
-					} else {
-						c.hedgeLosses.Inc()
-					}
-				}
-				return out.res, nil
-			}
-			var perm errPermanent
-			if errors.As(out.err, &perm) {
-				return nil, out.err
-			}
-			if firstErr == nil {
-				firstErr = out.err
-			}
-			if !launched {
-				// Owner failed outright before the hedge fired: launch
-				// the backup now rather than waiting for the timer.
-				launched = true
-				pending++
-				c.hedges.Inc()
-				go try(backup, true)
-			} else if pending == 0 {
-				return nil, firstErr
-			}
-		}
-	}
-}
-
 // attempt issues one POST to one node.
 func (c *Client) attempt(node, path string, body []byte, deadline time.Time) (*Result, error) {
-	return c.attemptDeadline(context.Background(), node, path, body, deadline)
-}
-
-func (c *Client) attemptDeadline(parent context.Context, node, path string, body []byte, deadline time.Time) (*Result, error) {
 	c.attempts.Inc()
-	ctx := parent
+	ctx := context.Background()
 	if c.opts.AttemptTimeout > 0 {
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(parent, c.opts.AttemptTimeout)
+		ctx, cancel = context.WithTimeout(ctx, c.opts.AttemptTimeout)
 		defer cancel()
 	}
 	if !deadline.IsZero() {
@@ -436,29 +327,14 @@ func (c *Client) attemptDeadline(parent context.Context, node, path string, body
 	}
 	resp, err := c.http.Do(req)
 	if err != nil {
-		if parent.Err() != nil {
-			// The parent context was canceled — the hedge race resolved
-			// elsewhere, or the caller gave up. The abort says nothing
-			// about this node's health, so don't poison the membership
-			// view or the per-node error counters with it.
-			return nil, fmt.Errorf("node %s: attempt canceled: %w", node, parent.Err())
-		}
-		c.nodeErrs(node).Inc()
-		c.members.MarkFailure(node, err)
-		return nil, fmt.Errorf("node %s: %w", node, err)
+		return nil, c.transportFailure(node, deadline, err)
 	}
-	// Always drain and close the body — including a hedge loser's — so
-	// the transport can reuse the connection instead of leaking it under
-	// sustained hedging.
+	// Always drain and close the body so the transport can reuse the
+	// connection.
 	defer resp.Body.Close()
 	b, err := io.ReadAll(resp.Body)
 	if err != nil {
-		if parent.Err() != nil {
-			return nil, fmt.Errorf("node %s: attempt canceled: %w", node, parent.Err())
-		}
-		c.nodeErrs(node).Inc()
-		c.members.MarkFailure(node, err)
-		return nil, fmt.Errorf("node %s: reading response: %w", node, err)
+		return nil, c.transportFailure(node, deadline, fmt.Errorf("reading response: %w", err))
 	}
 	res := &Result{Node: node, Status: resp.StatusCode, Header: resp.Header, Body: b}
 	switch {
@@ -483,6 +359,22 @@ func (c *Client) attemptDeadline(parent context.Context, node, path string, body
 		c.members.MarkHealthy(node)
 		return nil, errPermanent{res}
 	}
+}
+
+// transportFailure records an attempt that got no complete response.
+// An attempt cut off by the request's own deadline says nothing about
+// the node's health — the caller asked for an answer sooner than the
+// node could give one — so it neither marks the node down nor counts
+// as a node error; later requests still route to the warm owner.
+// AttemptTimeout expiry does count: that timeout exists to catch a
+// slow node.
+func (c *Client) transportFailure(node string, deadline time.Time, err error) error {
+	if expired(deadline) {
+		return fmt.Errorf("node %s: request deadline passed: %w", node, err)
+	}
+	c.nodeErrs(node).Inc()
+	c.members.MarkFailure(node, err)
+	return fmt.Errorf("node %s: %w", node, err)
 }
 
 // local serves the request through the in-process fallback handler.

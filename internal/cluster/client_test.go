@@ -146,54 +146,22 @@ func TestClientDoesNotRetryValidationErrors(t *testing.T) {
 	}
 }
 
-func TestClientHedgesSlowOwner(t *testing.T) {
-	release := make(chan struct{})
-	slow := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		select {
-		case <-release:
-		case <-r.Context().Done():
-		}
-	}))
-	defer slow.Close()
-	defer close(release) // LIFO: unblock the parked handler before Close waits on it
-	fast := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Write([]byte(`{"fast":true}`))
-	}))
-	defer fast.Close()
-
-	m := NewMembership([]string{slow.URL, fast.URL}, MembershipOptions{})
-	reg := metrics.NewRegistry()
-	c := NewClient(m, ClientOptions{
-		Registry:     reg,
-		RetryBackoff: time.Millisecond,
-		HedgeDelay:   5 * time.Millisecond,
-	})
-
-	// Find a key the slow node owns, so the hedge targets the fast one.
+// keyOwnedBy returns a routing key whose ring owner is node.
+func keyOwnedBy(t *testing.T, m *Membership, node string) string {
+	t.Helper()
 	ring := NewRing(m.Members())
 	key := "k0"
-	for i := 0; ring.Owner(key) != slow.URL && i < 10000; i++ {
+	for i := 0; ring.Owner(key) != node && i < 10000; i++ {
 		key = "k" + string(rune('a'+i%26)) + key
 	}
-	if ring.Owner(key) != slow.URL {
-		t.Fatal("could not construct a key owned by the slow node")
+	if ring.Owner(key) != node {
+		t.Fatalf("could not construct a key owned by %s", node)
 	}
-
-	res, err := c.Do(key, "/v1/run", []byte(`{}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Node != fast.URL {
-		t.Fatalf("answered by %s, want hedged fast node", res.Node)
-	}
-	snap := reg.Snapshot()
-	if snap["emxcluster_hedges_total"] == 0 || snap["emxcluster_hedge_wins_total"] == 0 {
-		t.Errorf("hedge counters not moved: %v", snap)
-	}
+	return key
 }
 
 // trackedBody counts Close calls so the test can prove every response
-// body the transport handed out — hedge losers included — was closed.
+// body the transport handed out was closed.
 type trackedBody struct {
 	io.ReadCloser
 	closed *atomic.Int64
@@ -219,15 +187,26 @@ func (tt *trackedTransport) RoundTrip(req *http.Request) (*http.Response, error)
 	return resp, err
 }
 
-// TestClientHedgeLoserDrainedAndUnpoisoned is the regression test for
-// two hedging bugs: the loser's response body leaking (never drained or
-// closed, pinning its pooled connection) under sustained hedging, and
-// a canceled hedge loser being counted as a node failure — marking a
-// healthy-but-slower node down and skewing its error counters. It also
-// pins the win/loss accounting when both attempts complete: exactly one
-// of the two is recorded per hedged request.
-func TestClientHedgeLoserDrainedAndUnpoisoned(t *testing.T) {
+// TestClientSlowOwnerAnsweredOnce pins the one-attempt-at-a-time
+// path: a slow-but-alive owner is waited for, never raced, so each
+// request costs exactly one attempt, the owner stays healthy, and every
+// response body is closed by the time Do returns — including the
+// bodies of the 503 and 500 responses that send a request on to the
+// next candidate.
+func TestClientSlowOwnerAnsweredOnce(t *testing.T) {
 	slow := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		b, _ := io.ReadAll(r.Body)
+		switch string(b) {
+		case "busy":
+			w.Header().Set("Retry-After", "0")
+			w.WriteHeader(http.StatusServiceUnavailable)
+			w.Write([]byte(`{"error":"busy"}`))
+			return
+		case "broken":
+			w.WriteHeader(http.StatusInternalServerError)
+			w.Write([]byte(`{"error":"broken"}`))
+			return
+		}
 		select {
 		case <-time.After(10 * time.Millisecond): //emx:hostclock test fixture: slower-but-alive owner
 		case <-r.Context().Done():
@@ -247,19 +226,9 @@ func TestClientHedgeLoserDrainedAndUnpoisoned(t *testing.T) {
 	c := NewClient(m, ClientOptions{
 		Registry:     reg,
 		RetryBackoff: time.Millisecond,
-		HedgeDelay:   time.Millisecond,
 		HTTPClient:   &http.Client{Transport: tt},
 	})
-
-	// A key the slow node owns, so every request hedges to the fast one.
-	ring := NewRing(m.Members())
-	key := "k0"
-	for i := 0; ring.Owner(key) != slow.URL && i < 10000; i++ {
-		key = "k" + string(rune('a'+i%26)) + key
-	}
-	if ring.Owner(key) != slow.URL {
-		t.Fatal("could not construct a key owned by the slow node")
-	}
+	key := keyOwnedBy(t, m, slow.URL)
 
 	const rounds = 25
 	for i := 0; i < rounds; i++ {
@@ -267,37 +236,102 @@ func TestClientHedgeLoserDrainedAndUnpoisoned(t *testing.T) {
 		if err != nil {
 			t.Fatalf("round %d: %v", i, err)
 		}
-		if res.Status != http.StatusOK {
-			t.Fatalf("round %d: status %d", i, res.Status)
+		if res.Status != http.StatusOK || res.Node != slow.URL {
+			t.Fatalf("round %d: status %d from %s, want 200 from the owner", i, res.Status, res.Node)
 		}
 	}
-
-	// Losers finish (or get canceled) asynchronously after each winner
-	// returns; give their goroutines a moment to close their bodies.
-	deadline := time.Now().Add(2 * time.Second)                              //emx:hostclock test polling bound
-	for tt.closed.Load() < tt.opened.Load() && time.Now().Before(deadline) { //emx:hostclock
-		time.Sleep(time.Millisecond) //emx:hostclock
+	if s := c.Stats(); s != (Stats{Attempts: rounds}) {
+		t.Errorf("stats %+v, want %d attempts and nothing else", s, rounds)
 	}
-	if opened, closed := tt.opened.Load(), tt.closed.Load(); closed != opened {
-		t.Errorf("response bodies leaked: %d opened, %d closed", opened, closed)
-	}
-
-	// The slow owner answered everything it wasn't canceled out of:
-	// losing a hedge race must not poison its health or error counters.
 	if !m.IsHealthy(slow.URL) {
-		t.Error("hedge-losing owner marked unhealthy")
+		t.Error("slow owner marked unhealthy")
 	}
-	snap := reg.Snapshot()
-	if errs := snap[`emxcluster_node_errors_total{node="`+slow.URL+`"}`]; errs != 0 {
-		t.Errorf("hedge-loser cancellations counted as %v node errors", errs)
+	if errs := reg.Snapshot()[`emxcluster_node_errors_total{node="`+slow.URL+`"}`]; errs != 0 {
+		t.Errorf("slow owner has %v node errors", errs)
 	}
-	s := c.Stats()
-	if s.Hedges == 0 {
-		t.Fatal("no hedges launched")
+
+	// A 503 and then a 500 from the owner each move the request on to
+	// the next candidate; neither response body may leak.
+	for _, body := range []string{"busy", "broken"} {
+		res, err := c.Do(key, "/v1/run", []byte(body))
+		if err != nil {
+			t.Fatalf("%s: %v", body, err)
+		}
+		if res.Node != fast.URL {
+			t.Fatalf("%s: answered by %s, want the next candidate %s", body, res.Node, fast.URL)
+		}
 	}
-	if s.HedgeWins+s.HedgeLosses != s.Hedges {
-		t.Errorf("win/loss accounting drifted: hedges=%d wins=%d losses=%d",
-			s.Hedges, s.HedgeWins, s.HedgeLosses)
+	if s := c.Stats().Sub(Stats{Attempts: rounds}); s != (Stats{Attempts: 4, Retries: 2, Failovers: 2}) {
+		t.Errorf("retry-path stats %+v, want 4 attempts, 2 retries, 2 failovers", s)
+	}
+	if opened, closed := tt.opened.Load(), tt.closed.Load(); opened != rounds+4 || closed != opened {
+		t.Errorf("response bodies: %d opened, %d closed; want %d, all closed", opened, closed, rounds+4)
+	}
+}
+
+// TestClientDeadlineDoesNotPoisonOwner: an attempt cut off by the
+// request's own deadline says nothing about the node, so a healthy but
+// slower owner stays healthy and keeps its traffic (and its warm
+// cache). AttemptTimeout expiry, by contrast, does mark the node down:
+// that timeout exists to catch slow nodes.
+func TestClientDeadlineDoesNotPoisonOwner(t *testing.T) {
+	owner := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		select {
+		case <-time.After(200 * time.Millisecond): //emx:hostclock test fixture: slower-but-alive owner
+		case <-r.Context().Done():
+			return
+		}
+		w.Write([]byte(`{"owner":true}`))
+	}))
+	defer owner.Close()
+	other := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Write([]byte(`{"other":true}`))
+	}))
+	defer other.Close()
+
+	m := NewMembership([]string{owner.URL, other.URL}, MembershipOptions{})
+	reg := metrics.NewRegistry()
+	c := NewClient(m, ClientOptions{Registry: reg, RetryBackoff: time.Millisecond})
+	key := keyOwnedBy(t, m, owner.URL)
+	errsKey := `emxcluster_node_errors_total{node="` + owner.URL + `"}`
+
+	deadline := time.Now().Add(20 * time.Millisecond) //emx:hostclock test deadline
+	if res, err := c.DoDeadline(key, "/v1/run", []byte(`{}`), deadline); err == nil {
+		t.Fatalf("20ms deadline against a 200ms owner answered by %s", res.Node)
+	}
+	if !m.IsHealthy(owner.URL) {
+		t.Error("request deadline marked the owner down")
+	}
+	if errs := reg.Snapshot()[errsKey]; errs != 0 {
+		t.Errorf("request deadline counted as %v node errors", errs)
+	}
+	res, err := c.Do(key, "/v1/run", []byte(`{}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Node != owner.URL {
+		t.Errorf("next request answered by %s, want the owner %s", res.Node, owner.URL)
+	}
+
+	m2 := NewMembership([]string{owner.URL, other.URL}, MembershipOptions{})
+	reg2 := metrics.NewRegistry()
+	c2 := NewClient(m2, ClientOptions{
+		Registry:       reg2,
+		RetryBackoff:   time.Millisecond,
+		AttemptTimeout: 20 * time.Millisecond,
+	})
+	res, err = c2.Do(key, "/v1/run", []byte(`{}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Node != other.URL {
+		t.Errorf("timed-out owner: answered by %s, want failover to %s", res.Node, other.URL)
+	}
+	if m2.IsHealthy(owner.URL) {
+		t.Error("AttemptTimeout expiry left the slow owner healthy")
+	}
+	if errs := reg2.Snapshot()[errsKey]; errs != 1 {
+		t.Errorf("AttemptTimeout expiry counted as %v node errors, want 1", errs)
 	}
 }
 

@@ -67,7 +67,7 @@ func NewGateway(m *Membership, opts GatewayOptions) *Gateway {
 		start:   time.Now(), //emx:hostclock gateway-uptime observability
 	}
 	g.latency = reg.Histogram("emxcluster_request_seconds",
-		"gateway request latency including routing, retries, and hedges", metrics.DefLatencyBuckets)
+		"gateway request latency including routing and retries", metrics.DefLatencyBuckets)
 	g.responses = func(code int) *metrics.Counter {
 		return reg.Labeled("emxcluster_responses_total",
 			"gateway responses by status code", "code", fmt.Sprintf("%d", code))

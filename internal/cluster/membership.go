@@ -47,7 +47,10 @@ type member struct {
 	lastErr  string
 }
 
-// Membership tracks the health and load of a fixed set of emxd nodes.
+// Membership tracks the health of a fixed set of emxd nodes, plus the
+// queue depth and cache hit ratio each last reported. The load signals
+// are for display (Snapshot, the gateway's /v1/status); routing uses
+// health alone.
 // Nodes start healthy (optimistically: the first request finds out) and
 // move down/up from probe results and the client's passive marking.
 // Down nodes are probed with exponential backoff so a dead node costs
@@ -147,19 +150,6 @@ func (m *Membership) Snapshot() []NodeStatus {
 	return out
 }
 
-// Load returns the last probed load of url: queue fullness in [0,1]
-// and cache hit-ratio. ok is false when the node is unknown or has
-// never been probed.
-func (m *Membership) Load(url string) (queueFullness, hitRatio float64, ok bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	n, found := m.nodes[url]
-	if !found || n.load.QueueCap == 0 {
-		return 0, 0, false
-	}
-	return float64(n.load.QueueDepth) / float64(n.load.QueueCap), n.load.CacheHitRatio, true
-}
-
 // MarkFailure records a failed request against url (passive health from
 // the client's own traffic): the node is marked down immediately, so
 // subsequent requests prefer other replicas until a probe or a
@@ -188,7 +178,7 @@ func (m *Membership) MarkHealthy(url string) {
 }
 
 // Probe checks one node's /v1/status synchronously and updates its
-// health and load signals.
+// health and displayed load signals.
 func (m *Membership) Probe(url string) error {
 	resp, err := m.http.Get(url + "/v1/status")
 	if err == nil {

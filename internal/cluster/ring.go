@@ -1,17 +1,14 @@
 // Package cluster federates N emxd nodes into one experiment service:
 // a rendezvous-hashing ring routes each content-addressed run to an
 // owner node (so the per-node LRU caches shard instead of duplicating),
-// a membership layer probes /v1/status and tracks node health and load,
-// and a failover-aware client issues requests with per-attempt
-// timeouts, bounded retries, hedged second attempts, and graceful
-// degradation to any healthy peer — or local in-process execution —
-// when the owner is down.
+// a membership layer probes /v1/status and tracks node health, and a
+// failover-aware client issues one attempt at a time with per-attempt
+// timeouts, bounded retries, and graceful degradation to any healthy
+// peer — or local in-process execution — when the owner is down.
 //
-// The design practices what the simulated machine preaches: the EM-X
-// tolerates remote latency by overlapping useful work with outstanding
-// split-phase requests, and the cluster client tolerates slow or dead
-// owners by overlapping a hedged request with the outstanding one.
-// Failover never changes results: runs are deterministic, so any node
+// A request is never sent twice at once: its latency is almost all
+// simulation time, and a second node would rerun the whole simulation
+// without the owner's cached result. Failover never changes results: runs are deterministic, so any node
 // (or the local fallback) produces byte-identical measurements for a
 // given run identity.
 package cluster

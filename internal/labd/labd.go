@@ -523,9 +523,9 @@ func (s *Scheduler) Stats() Stats {
 
 // CacheHitRatio is the fraction of resolved requests served from the
 // result cache: hits / (hits + coalesced + executed). Requests still in
-// the queue are not counted. The cluster membership prober reads this
-// for load-aware hedging — a cold node resolves most requests by
-// executing and is a worse hedge target than a warm one.
+// the queue are not counted. A cold node resolves most requests by
+// executing; the cluster membership prober records this ratio so the
+// gateway's /v1/status shows which nodes are warm.
 func (st Stats) CacheHitRatio() float64 {
 	total := st.CacheHits + st.Coalesced + st.Started
 	if total == 0 {

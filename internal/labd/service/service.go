@@ -362,9 +362,9 @@ type Throughput struct {
 
 	// QueueDepth and CacheHitRatio describe current load: runs admitted
 	// but not started, and the fraction of resolved requests served from
-	// the result cache. The cluster membership prober reads both for
-	// load-aware hedging (a backed-up or cold node is a poor hedge
-	// target), so they live here with the other host-side rates.
+	// the result cache. The cluster membership prober records both for
+	// display in the gateway's /v1/status, so they live here with the
+	// other host-side rates.
 	QueueDepth    int     `json:"queue_depth"`
 	CacheHitRatio float64 `json:"cache_hit_ratio"`
 
